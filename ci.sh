@@ -13,6 +13,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== perfbench: the benchmark package builds offline against the workspace and passes its own tests"
+cargo build -q --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== hymv-check analysis passes"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 8
 

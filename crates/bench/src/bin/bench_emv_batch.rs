@@ -69,7 +69,7 @@ fn main() {
     let mut best: Option<(usize, f64)> = None;
     for &bw in &WIDTHS {
         let mut plan = BlockPlan::build(&maps, 1, bw);
-        plan.attach_store(&store);
+        plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
         let batch_kernel = select_batch_kernel(bw);
         let pl = plan.nd() * bw;
         let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);

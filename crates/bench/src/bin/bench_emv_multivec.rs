@@ -33,7 +33,7 @@ use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_fem::PoissonKernel;
 use hymv_la::dense::{emv_batch_mv_kernel_name, select_batch_kernel, select_batch_mv_kernel};
-use hymv_la::{cg, ElementMatrixStore, Identity};
+use hymv_la::{cg, Identity};
 use hymv_mesh::partition::{partition_mesh, PartitionMethod};
 use hymv_mesh::{ElementType, StructuredHexMesh};
 use hymv_serve::{BatchPolicy, SolveService};
@@ -51,13 +51,13 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
     let nd = kernel.ndof_elem();
 
     let maps = HymvMaps::build(part);
-    let mut store = ElementMatrixStore::new(nd, maps.n_elems);
+    let mut ke = vec![0.0; nd * nd];
     let mut scratch = KernelScratch::default();
-    for e in 0..maps.n_elems {
-        kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
-    }
     let mut plan = BlockPlan::build(&maps, 1, BW);
-    plan.attach_store(&store);
+    plan.attach_with(|e, mut lane| {
+        kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
+        lane.copy_from(&ke);
+    });
     let batch_kernel = select_batch_kernel(BW);
     let pl = plan.nd() * BW;
 

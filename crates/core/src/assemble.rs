@@ -3,9 +3,10 @@
 
 use hymv_comm::{Comm, Payload};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
-use hymv_la::{ElementMatrixStore, SerialCsr};
+use hymv_la::SerialCsr;
 use hymv_mesh::MeshPartition;
 
+use crate::block::KeView;
 use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::maps::HymvMaps;
@@ -95,7 +96,7 @@ pub fn jacobi_diagonal(
     comm: &mut Comm,
     maps: &HymvMaps,
     exchange: &GhostExchange,
-    store: &ElementMatrixStore,
+    store: KeView<'_>,
     ndof: usize,
 ) -> Vec<f64> {
     let nd = store.nd();
@@ -128,7 +129,7 @@ pub fn jacobi_diagonal(
 pub fn owned_block_csr(
     comm: &mut Comm,
     maps: &HymvMaps,
-    store: &ElementMatrixStore,
+    store: KeView<'_>,
     ndof: usize,
     constrained: &[(u32, f64)],
 ) -> SerialCsr {
@@ -326,18 +327,16 @@ mod tests {
         let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
         let kernel = PoissonKernel::new(ElementType::Hex8);
         let maps = HymvMaps::build(&pm.parts[0]);
-        let mut store = ElementMatrixStore::new(8, maps.n_elems);
+        let mut plan = crate::block::BlockPlan::build(&maps, 1, 1);
+        let mut ke = vec![0.0; 64];
         let mut scratch = hymv_fem::kernel::KernelScratch::default();
-        for e in 0..maps.n_elems {
-            kernel.compute_ke(
-                pm.parts[0].elem_node_coords(e),
-                store.ke_mut(e),
-                &mut scratch,
-            );
-        }
+        plan.attach_with(|e, mut lane| {
+            kernel.compute_ke(pm.parts[0].elem_node_coords(e), &mut ke, &mut scratch);
+            lane.copy_from(&ke);
+        });
         let constrained = vec![(0u32, 1.0), (5, 2.0)];
         let blocks = Universe::run(1, |comm| {
-            owned_block_csr(comm, &maps, &store, 1, &constrained)
+            owned_block_csr(comm, &maps, plan.matrices(), 1, &constrained)
         });
         let block = &blocks[0];
         for &(d, _) in &constrained {

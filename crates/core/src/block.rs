@@ -8,9 +8,12 @@
 //! of `bw` elements and evaluates `Ve = Ke_b · Ue` with the batched
 //! kernels of [`hymv_la::dense`], vectorizing **across the batch**:
 //!
-//! * element matrices are re-laid out batch-interleaved
-//!   (`keb[(j·nd+i)·bw + b]`), so each matrix entry position is a
-//!   unit-stride strip of `bw` lanes;
+//! * element matrices live batch-interleaved (`keb[(j·nd+i)·bw + b]`), so
+//!   each matrix entry position is a unit-stride strip of `bw` lanes.
+//!   These slabs are the operator's only copy of `Ke`: element `e`'s
+//!   matrix is read and written in place through its strided lane
+//!   ([`KeLane`], [`KeLaneMut`]), and `B = 1` is simply a width-1 plan
+//!   whose lanes are plain column-major matrices;
 //! * per-block gather/scatter index tables are flattened from `E2L` at
 //!   plan build time — the inner loop does zero map lookups;
 //! * blocks are ordered by a locality sort (min local-node index) so
@@ -24,15 +27,20 @@
 
 use rayon::prelude::*;
 
-use hymv_la::dense::{interleave_ke, EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
-use hymv_la::{ElementMatrixStore, MAX_NVEC_WIDTH};
+use std::iter::StepBy;
+use std::ops::{Index, Range};
+use std::slice;
+
+use hymv_la::dense::{EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
+use hymv_la::MAX_NVEC_WIDTH;
 
 use crate::da::{DistArray, DistMultivector};
 use crate::hybrid::{on_rank_pool, RacyTarget};
 use crate::maps::HymvMaps;
 
-/// Environment variable selecting the batch width (`B=1` recovers the
-/// per-element path; invalid values are a hard error, never a clamp).
+/// Environment variable selecting the batch width (`B=1` is a width-1
+/// plan on the per-element kernels; invalid values are a hard error,
+/// never a clamp).
 pub const BATCH_ENV: &str = "HYMV_EMV_BATCH";
 
 /// Default batch width: one AVX-512 vector (two AVX2 vectors) of lanes —
@@ -48,16 +56,24 @@ pub const DEFAULT_BATCH_WIDTH: usize = 8;
 pub fn parse_batch_width(s: &str) -> Result<usize, String> {
     let t = s.trim();
     match t.parse::<usize>() {
-        Ok(0) => Err(format!(
-            "batch width 0 is invalid (use 1 for the per-element path, up to {MAX_BATCH_WIDTH})"
-        )),
-        Ok(b) if b > MAX_BATCH_WIDTH => Err(format!(
-            "batch width {b} exceeds the maximum of {MAX_BATCH_WIDTH}"
-        )),
-        Ok(b) => Ok(b),
+        Ok(b) => check_batch_width(b),
         Err(_) => Err(format!(
             "batch width {t:?} is not a number (expected 1..={MAX_BATCH_WIDTH})"
         )),
+    }
+}
+
+/// The range rule behind [`parse_batch_width`], for widths that are
+/// already numbers (`HymvOperator::set_batch_width`).
+pub(crate) fn check_batch_width(b: usize) -> Result<usize, String> {
+    match b {
+        0 => Err(format!(
+            "batch width 0 is invalid (use 1 for one element per block, up to {MAX_BATCH_WIDTH})"
+        )),
+        b if b > MAX_BATCH_WIDTH => Err(format!(
+            "batch width {b} exceeds the maximum of {MAX_BATCH_WIDTH}"
+        )),
+        b => Ok(b),
     }
 }
 
@@ -139,7 +155,7 @@ pub struct BlockSet {
     /// `k`); padded lanes hold 0.
     gidx: Vec<u32>,
     /// Batch-interleaved element matrices, `n_blocks × nd² × bw`; padded
-    /// lanes are zero. Empty until [`BlockPlan::attach_store`] (the
+    /// lanes are zero. Empty until [`BlockPlan::attach_with`] (the
     /// matrix-free operator uses the tables with its own scratch slab).
     keb: Vec<f64>,
     /// Block ids `0..n_blocks` (the chunk-private loop's par-chunks base).
@@ -229,7 +245,7 @@ impl BlockSet {
         &self.ids
     }
 
-    /// Block `k`'s interleaved matrix slab (requires an attached store).
+    /// Block `k`'s interleaved matrix slab (requires attached slabs).
     pub fn keb(&self, k: usize) -> &[f64] {
         let sz = self.nd * self.nd * self.bw;
         &self.keb[k * sz..(k + 1) * sz]
@@ -357,8 +373,8 @@ impl BlockSet {
 }
 
 /// The setup-time plan for the batched SPMV path: both element subsets
-/// blocked, plus the element → (set, block, lane) slot map the adaptive
-/// update path uses to refresh individual matrices in place.
+/// blocked, plus the element → (set, block, lane) slot map through which
+/// individual matrices are read and written in place.
 #[derive(Debug, Clone)]
 pub struct BlockPlan {
     nd: usize,
@@ -373,7 +389,7 @@ pub struct BlockPlan {
 
 impl BlockPlan {
     /// Build the gather/scatter tables (matrix slabs stay empty until
-    /// [`Self::attach_store`]).
+    /// [`Self::attach_with`]).
     pub fn build(maps: &HymvMaps, ndof: usize, bw: usize) -> Self {
         assert!(
             (1..=MAX_BATCH_WIDTH).contains(&bw),
@@ -401,33 +417,63 @@ impl BlockPlan {
         }
     }
 
-    /// Interleave every stored element matrix into its block slab
-    /// (allocates the slabs; padded lanes stay zero).
-    pub fn attach_store(&mut self, store: &ElementMatrixStore) {
-        assert_eq!(store.nd(), self.nd, "store/plan dimension mismatch");
+    /// Allocate the matrix slabs and fill every element's lane:
+    /// `fill(e, lane)` writes element `e`'s column-major matrix through its
+    /// strided lane. Padded lanes stay zero.
+    pub fn attach_with(&mut self, mut fill: impl FnMut(usize, KeLaneMut<'_>)) {
         let sz = self.nd * self.nd * self.bw;
         for set in [&mut self.indep, &mut self.dep] {
             set.keb = vec![0.0; set.n_blocks() * sz];
         }
-        let elems: Vec<u32> = (0..self.slot.len() as u32).collect();
-        self.refresh(store, &elems);
+        for e in 0..self.slot.len() {
+            fill(e, self.ke_mut(e));
+        }
     }
 
-    /// Re-interleave the matrices of `elems` (the adaptive-update path:
-    /// after `ke_mut`/`update_elements` touched a few elements).
-    pub fn refresh(&mut self, store: &ElementMatrixStore, elems: &[u32]) {
-        let (nd, bw) = (self.nd, self.bw);
-        let sz = nd * nd * bw;
-        for &e in elems {
-            let (dependent, k, b) = self.slot[e as usize];
-            let set = if dependent {
-                &mut self.dep
-            } else {
-                &mut self.indep
-            };
-            let slab = &mut set.keb[k as usize * sz..(k as usize + 1) * sz];
-            interleave_ke(store.ke(e as usize), slab, nd, bw, b as usize);
+    /// Element `e`'s lane: (dependent set?, slab range from the lane's
+    /// first entry to the end of its block's slab).
+    fn lane(&self, e: usize) -> (bool, Range<usize>) {
+        assert!(e < self.slot.len(), "element {e} out of range");
+        let (dependent, k, b) = self.slot[e];
+        let sz = self.nd * self.nd * self.bw;
+        let k = k as usize;
+        (dependent, k * sz + b as usize..(k + 1) * sz)
+    }
+
+    /// Element `e`'s matrix, read in place from its slab lane (requires
+    /// attached slabs).
+    ///
+    /// # Panics
+    /// If `e` is not a local element.
+    pub fn ke(&self, e: usize) -> KeLane<'_> {
+        let (dependent, range) = self.lane(e);
+        KeLane {
+            data: &self.set(dependent).keb[range],
+            bw: self.bw,
         }
+    }
+
+    /// Element `e`'s matrix, writable in place in its slab lane (the
+    /// adaptive-update path; requires attached slabs).
+    ///
+    /// # Panics
+    /// If `e` is not a local element.
+    pub fn ke_mut(&mut self, e: usize) -> KeLaneMut<'_> {
+        let (dependent, range) = self.lane(e);
+        let set = if dependent {
+            &mut self.dep
+        } else {
+            &mut self.indep
+        };
+        KeLaneMut {
+            data: &mut set.keb[range],
+            bw: self.bw,
+        }
+    }
+
+    /// Read-only view of every element matrix in the slabs.
+    pub fn matrices(&self) -> KeView<'_> {
+        KeView { plan: self }
     }
 
     /// Batch width `bw`.
@@ -460,15 +506,9 @@ impl BlockPlan {
         self.n_blocks_total() * self.bw
     }
 
-    /// Bytes of the plan's own storage: interleaved matrix slabs (f64)
-    /// plus gather tables (u32).
+    /// Bytes of the plan's storage — interleaved matrix slabs (f64) plus
+    /// gather tables (u32) — and of a device upload reusing its layout.
     pub fn bytes(&self) -> usize {
-        self.device_bytes()
-    }
-
-    /// Bytes uploaded to a device reusing the panel layout (matrix slabs +
-    /// gather tables).
-    pub fn device_bytes(&self) -> usize {
         let mut total = 0;
         for set in [&self.indep, &self.dep] {
             total += set.keb.len() * 8 + set.gidx.len() * 4;
@@ -610,11 +650,114 @@ impl BlockPlan {
     }
 }
 
+/// One element's matrix in place in its slab lane: column-major entry
+/// `idx = j·nd + i` sits at `data[idx·bw]` (`data` runs from the lane's
+/// first entry to the end of its block's slab).
+#[derive(Debug, Clone, Copy)]
+pub struct KeLane<'a> {
+    data: &'a [f64],
+    bw: usize,
+}
+
+impl Index<usize> for KeLane<'_> {
+    type Output = f64;
+    fn index(&self, idx: usize) -> &f64 {
+        &self.data[idx * self.bw]
+    }
+}
+
+impl<'a> IntoIterator for KeLane<'a> {
+    type Item = &'a f64;
+    type IntoIter = StepBy<slice::Iter<'a, f64>>;
+    /// The entries in column-major order.
+    fn into_iter(self) -> Self::IntoIter {
+        self.data.iter().step_by(self.bw)
+    }
+}
+
+/// The writable form of [`KeLane`]: writes land directly in the slab the
+/// SPMV streams.
+#[derive(Debug)]
+pub struct KeLaneMut<'a> {
+    data: &'a mut [f64],
+    bw: usize,
+}
+
+impl KeLaneMut<'_> {
+    /// The entries in column-major order, mutably.
+    pub fn iter_mut(&mut self) -> StepBy<slice::IterMut<'_, f64>> {
+        self.data.iter_mut().step_by(self.bw)
+    }
+
+    /// Overwrite the matrix with `src` (column-major): a slice or another
+    /// plan's [`KeLane`].
+    ///
+    /// # Panics
+    /// If `src` does not hold exactly `nd²` entries.
+    pub fn copy_from<'s, I>(&mut self, src: I)
+    where
+        I: IntoIterator<Item = &'s f64>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let (src, dst) = (src.into_iter(), self.iter_mut());
+        assert_eq!(src.len(), dst.len(), "element matrix size mismatch");
+        dst.zip(src).for_each(|(d, &v)| *d = v);
+    }
+}
+
+impl<'a> IntoIterator for KeLaneMut<'a> {
+    type Item = &'a mut f64;
+    type IntoIter = StepBy<slice::IterMut<'a, f64>>;
+    /// The entries in column-major order, mutably.
+    fn into_iter(self) -> Self::IntoIter {
+        self.data.iter_mut().step_by(self.bw)
+    }
+}
+
+/// Read-only view of every element matrix of a plan, served in place from
+/// its slabs (what `HymvOperator::store()` returns).
+#[derive(Debug, Clone, Copy)]
+pub struct KeView<'a> {
+    plan: &'a BlockPlan,
+}
+
+impl<'a> KeView<'a> {
+    /// Element-matrix dimension `nd`.
+    pub fn nd(&self) -> usize {
+        self.plan.nd
+    }
+
+    /// Number of element matrices.
+    pub fn n_elems(&self) -> usize {
+        self.plan.slot.len()
+    }
+
+    /// Element `e`'s matrix (strided read from its lane).
+    pub fn ke(&self, e: usize) -> KeLane<'a> {
+        self.plan.ke(e)
+    }
+
+    /// Bytes of matrix storage: the slabs, padded tail lanes included.
+    pub fn bytes(&self) -> usize {
+        (self.plan.indep.keb.len() + self.plan.dep.keb.len()) * 8
+    }
+
+    /// A **copy** of every matrix, element-major and column-major
+    /// (element `e` at `e·nd²`). Allocates `n_elems · nd²` doubles.
+    pub fn as_slice(&self) -> Vec<f64> {
+        (0..self.n_elems())
+            .flat_map(|e| self.ke(e))
+            .copied()
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hybrid::emv_loop_serial;
     use hymv_la::dense::select_batch_kernel;
+    use hymv_la::ElementMatrixStore;
     use hymv_mesh::partition::{partition_mesh, PartitionMethod};
     use hymv_mesh::{unstructured_tet_mesh, ElementType, StructuredHexMesh};
     use rand::rngs::StdRng;
@@ -659,7 +802,7 @@ mod tests {
         bw: usize,
     ) -> DistArray {
         let mut plan = BlockPlan::build(maps, u.ndof, bw);
-        plan.attach_store(store);
+        plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
         let kernel = select_batch_kernel(bw);
         let mut v = DistArray::new(maps, u.ndof);
         let pl = plan.nd() * bw;
@@ -795,7 +938,7 @@ mod tests {
         let (maps, store, u) = random_case(&mesh, 1, 7);
         let bw = 8;
         let mut plan = BlockPlan::build(&maps, 1, bw);
-        plan.attach_store(&store);
+        plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
         let kernel = select_batch_kernel(bw);
         let v_ref = blocked_result(&maps, &store, &u, bw);
 
@@ -846,17 +989,24 @@ mod tests {
     }
 
     #[test]
-    fn refresh_updates_single_lane() {
+    fn lane_writes_update_one_element_in_place() {
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
         let (maps, mut store, u) = random_case(&mesh, 1, 21);
         let bw = 8;
         let mut plan = BlockPlan::build(&maps, 1, bw);
-        plan.attach_store(&store);
-        // Mutate one element's matrix and refresh only it.
+        plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
+        // Mutate one element's matrix through its lane only.
         for v in store.ke_mut(5) {
             *v *= 3.0;
         }
-        plan.refresh(&store, &[5]);
+        for v in plan.ke_mut(5) {
+            *v *= 3.0;
+        }
+        for e in 0..maps.n_elems {
+            let lane: Vec<f64> = plan.ke(e).into_iter().copied().collect();
+            assert_eq!(lane, store.ke(e), "element {e}");
+        }
+        assert_eq!(plan.matrices().as_slice(), store.as_slice());
         let kernel = select_batch_kernel(bw);
         let mut v = DistArray::new(&maps, 1);
         let pl = plan.nd() * bw;
@@ -866,6 +1016,16 @@ mod tests {
         let v_ref = serial_reference(&maps, &store, &u);
         for (a, b) in v_ref.data.iter().zip(&v.data) {
             assert!((a - b).abs() < 1e-12);
+        }
+        // 27 elements in blocks of 8: the 5 padded tail lanes stay zero.
+        let set = plan.set(false);
+        let tail = set.n_blocks() - 1;
+        assert_eq!(set.len(tail), 3);
+        let nd2 = plan.nd() * plan.nd();
+        for idx in 0..nd2 {
+            for b in 3..bw {
+                assert_eq!(set.keb(tail)[idx * bw + b].to_bits(), 0);
+            }
         }
     }
 
@@ -931,7 +1091,7 @@ mod tests {
             let (maps, store, _) = random_case(&mesh, ndof, seed);
             let bw = 8;
             let mut plan = BlockPlan::build(&maps, ndof, bw);
-            plan.attach_store(&store);
+            plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
             let n = maps.n_total() * ndof;
             let mut rng = StdRng::seed_from_u64(seed + 100);
             let cols: Vec<Vec<f64>> = (0..nvec)
@@ -990,8 +1150,7 @@ mod tests {
         let mut plan = BlockPlan::build(&maps, 1, 8);
         // Single rank: no dependent elements.
         assert!(plan.set(true).is_empty());
-        let store = ElementMatrixStore::new(8, maps.n_elems);
-        plan.attach_store(&store);
+        plan.attach_with(|_, _| {});
         let mut v = DistArray::new(&maps, 1);
         let u = DistArray::new(&maps, 1);
         let pl = plan.nd() * 8;

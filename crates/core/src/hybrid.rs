@@ -3,21 +3,22 @@
 //!
 //! The EMV loop accumulates element vectors into a shared DA, so naïve
 //! parallelization races on shared nodes. Two standard strategies are
-//! provided (and compared by the `ablation_smp` bench):
+//! provided (and compared by the `ablation_smp` bench), both run by the
+//! block loops of [`crate::block`] at block granularity (`B = 1` is one
+//! element per block):
 //!
-//! * **Element coloring** — elements are greedily colored so that no two
-//!   elements of a color share a node; within a color the loop is
-//!   embarrassingly parallel and writes directly to the shared DA.
+//! * **Coloring** — blocks are greedily colored so that no two blocks of a
+//!   color share a node; within a color the loop is embarrassingly
+//!   parallel and writes directly to the shared DA.
 //! * **Chunk-private accumulation** — each worker accumulates into a
 //!   private buffer; buffers are summed afterwards. No coloring setup, but
 //!   `O(threads × n_total)` extra memory traffic.
 //!
-//! On this reproduction host (one physical core) rayon degenerates to one
-//! worker; the virtual-time ledger models the multi-thread speedup (see
-//! `hymv_comm::CostModel::smp_speedup`). The code itself is correct,
-//! data-race-free parallel Rust on any host.
-
-use rayon::prelude::*;
+//! Each rank runs these sections on its own one-worker rayon pool (see
+//! `RANK_POOL` below), so they execute sequentially on the rank's thread
+//! whatever the host's core count; the virtual-time ledger models the
+//! multi-thread speedup (see `hymv_comm::CostModel::smp_speedup`). The
+//! code itself is correct, data-race-free parallel Rust on any pool.
 
 use hymv_la::dense::select_kernel;
 use hymv_la::ElementMatrixStore;
@@ -108,7 +109,11 @@ pub fn color_elements(maps: &HymvMaps, subset: &[u32]) -> Vec<Vec<u32>> {
     try_color_elements(maps, subset).expect("element valence exceeded 64 colors")
 }
 
-/// Serial EMV loop over a subset: `v(E2L[e]) += Ke · u(E2L[e])`.
+/// Serial per-element EMV loop over a subset: `v(E2L[e]) += Ke · u(E2L[e])`.
+/// The operators run every width through [`crate::block::BlockPlan`];
+/// this loop over a contiguous [`ElementMatrixStore`] remains the
+/// reference the block tests and the `bench_emv_batch` gate compare
+/// against.
 // verify: kernel-entry
 pub fn emv_loop_serial(
     maps: &HymvMaps,
@@ -157,98 +162,6 @@ impl RacyTarget {
     #[allow(unsafe_code)] // SAFETY: the raw write behind both colored loops; contract above
     pub(crate) unsafe fn add(&self, idx: usize, val: f64) {
         *self.ptr.add(idx) += val;
-    }
-}
-
-/// Colored parallel EMV loop: classes run sequentially; elements within a
-/// class run in parallel, writing directly to the shared DA (sound because
-/// same-color elements share no node).
-///
-/// Allocation waiver: rayon's `for_each_init` allocates one `ue`/`ve`
-/// pair per worker — bounded per-thread scratch inside the pool boundary,
-/// not per-element churn.
-// verify: allow(allocates), kernel-entry
-pub fn emv_loop_colored(
-    maps: &HymvMaps,
-    store: &ElementMatrixStore,
-    u: &DistArray,
-    v: &mut DistArray,
-    classes: &[Vec<u32>],
-) {
-    let nd = store.nd();
-    let ndof = v.ndof;
-    let emv = select_kernel();
-    let target = RacyTarget::new(v.data.as_mut_ptr());
-    on_rank_pool(|| {
-        for class in classes {
-            class.par_iter().for_each_init(
-                || (vec![0.0; nd], vec![0.0; nd]),
-                |(ue, ve), &e| {
-                    let nodes = maps.elem_local_nodes(e as usize);
-                    u.extract_elem(nodes, ue);
-                    emv(store.ke(e as usize), ue, ve);
-                    for (m, &l) in nodes.iter().enumerate() {
-                        let base = l as usize * ndof;
-                        for c in 0..ndof {
-                            // SAFETY: `l` sets are disjoint across the elements
-                            // of one color class; classes are sequential.
-                            #[allow(unsafe_code)]
-                            unsafe {
-                                target.add(base + c, ve[m * ndof + c]);
-                            }
-                        }
-                    }
-                },
-            );
-        }
-    });
-}
-
-/// Chunk-private parallel EMV loop: workers accumulate into private
-/// buffers, reduced by summation at the end.
-///
-/// Allocation waiver: the worker-private accumulation buffers are the
-/// point of this scheme — one per chunk, reduced on join. Bounded
-/// per-call, not hoistable across the pool boundary.
-// verify: allow(allocates), kernel-entry
-pub fn emv_loop_chunk_private(
-    maps: &HymvMaps,
-    store: &ElementMatrixStore,
-    u: &DistArray,
-    v: &mut DistArray,
-    subset: &[u32],
-) {
-    let nd = store.nd();
-    let len = v.data.len();
-    let emv = select_kernel();
-    let partials: Vec<Vec<f64>> = on_rank_pool(|| {
-        let chunk = subset.len().div_ceil(rayon::current_num_threads()).max(1);
-        subset
-            .par_chunks(chunk)
-            .map(|elems| {
-                let mut buf = vec![0.0; len];
-                let mut ue = vec![0.0; nd];
-                let mut ve = vec![0.0; nd];
-                let ndof = u.ndof;
-                for &e in elems {
-                    let nodes = maps.elem_local_nodes(e as usize);
-                    u.extract_elem(nodes, &mut ue);
-                    emv(store.ke(e as usize), &ue, &mut ve);
-                    for (m, &l) in nodes.iter().enumerate() {
-                        let base = l as usize * ndof;
-                        for c in 0..ndof {
-                            buf[base + c] += ve[m * ndof + c];
-                        }
-                    }
-                }
-                buf
-            })
-            .collect()
-    });
-    for buf in partials {
-        for (dst, src) in v.data.iter_mut().zip(&buf) {
-            *dst += src;
-        }
     }
 }
 
@@ -326,53 +239,12 @@ mod tests {
     }
 
     #[test]
-    fn colored_matches_serial() {
-        let (maps, store, u) = setup(4);
-        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-
-        let mut v_serial = DistArray::new(&maps, 1);
-        let mut ue = vec![0.0; 8];
-        let mut ve = vec![0.0; 8];
-        emv_loop_serial(&maps, &store, &u, &mut v_serial, &all, &mut ue, &mut ve);
-
-        let classes = color_elements(&maps, &all);
-        let mut v_col = DistArray::new(&maps, 1);
-        emv_loop_colored(&maps, &store, &u, &mut v_col, &classes);
-
-        for (a, b) in v_serial.data.iter().zip(&v_col.data) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn chunk_private_matches_serial() {
-        let (maps, store, u) = setup(3);
-        let all: Vec<u32> = (0..maps.n_elems as u32).collect();
-
-        let mut v_serial = DistArray::new(&maps, 1);
-        let mut ue = vec![0.0; 8];
-        let mut ve = vec![0.0; 8];
-        emv_loop_serial(&maps, &store, &u, &mut v_serial, &all, &mut ue, &mut ve);
-
-        let mut v_cp = DistArray::new(&maps, 1);
-        emv_loop_chunk_private(&maps, &store, &u, &mut v_cp, &all);
-
-        for (a, b) in v_serial.data.iter().zip(&v_cp.data) {
-            assert!((a - b).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn empty_subset_is_noop() {
         let (maps, store, u) = setup(2);
         let mut v = DistArray::new(&maps, 1);
         emv_loop_serial(&maps, &store, &u, &mut v, &[], &mut [0.0; 8], &mut [0.0; 8]);
         assert!(v.data.iter().all(|&x| x == 0.0));
-        let classes = color_elements(&maps, &[]);
-        assert!(classes.is_empty());
-        emv_loop_colored(&maps, &store, &u, &mut v, &classes);
-        emv_loop_chunk_private(&maps, &store, &u, &mut v, &[]);
-        assert!(v.data.iter().all(|&x| x == 0.0));
+        assert!(color_elements(&maps, &[]).is_empty());
     }
 
     #[test]

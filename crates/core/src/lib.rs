@@ -15,14 +15,15 @@
 //! * [`da`] — the distributed array (`[pre-ghost | owned | post-ghost]`
 //!   layout of Fig 2);
 //! * [`operator`] — [`HymvOperator`]: setup (element-matrix computation +
-//!   local copy — **no global assembly**), the SPMV of Algorithm 2, and the
-//!   adaptive per-element update path;
+//!   local copy into the block slabs — **no global assembly**), the SPMV of
+//!   Algorithm 2, and the adaptive per-element update path;
 //! * [`hybrid`] — shared-memory ("OpenMP") parallelization of the local
-//!   elemental loop: element coloring or chunk-private accumulation;
-//! * [`block`] — the batched element-block engine (`BlockPlan`): subsets
-//!   cut into locality-sorted blocks of `B` elements with flattened
-//!   gather/scatter tables, evaluated by the batch-vectorized EMV kernels
-//!   (the default CPU SPMV path; `HYMV_EMV_BATCH` overrides `B`);
+//!   elemental loop: coloring or chunk-private accumulation;
+//! * [`block`] — the element-block engine (`BlockPlan`): subsets cut into
+//!   locality-sorted blocks of `B` elements with flattened gather/scatter
+//!   tables and batch-interleaved matrix slabs (the only copy of `Ke`),
+//!   evaluated by the batch-vectorized EMV kernels (`HYMV_EMV_BATCH`
+//!   overrides `B`; `B = 1` runs the per-element kernels);
 //! * [`matfree`] — the matrix-free baseline (Algorithm 4: recompute `Ke`
 //!   inside every SPMV);
 //! * [`assembled`] — the matrix-assembled baseline (PETSc-style
@@ -53,7 +54,8 @@ pub mod system;
 pub use assembled::AssembledOperator;
 pub use block::{
     batch_width_from_env, nvec_width_from_env, parse_batch_width, parse_nvec_width, BlockPlan,
-    BlockSet, BATCH_ENV, DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH, NVEC_ENV,
+    BlockSet, KeLane, KeLaneMut, KeView, BATCH_ENV, DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH,
+    NVEC_ENV,
 };
 pub use da::{DistArray, DistMultivector};
 pub use dirichlet_op::DirichletOp;

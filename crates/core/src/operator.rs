@@ -3,31 +3,28 @@
 use hymv_comm::Comm;
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::dense::{
-    emv_batch_flops, emv_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel,
-    EmvBatchMvKernel, MAX_BATCH_WIDTH,
+    emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, EmvBatchMvKernel,
 };
-use hymv_la::{ElementMatrixStore, LinOp, MultiLinOp, Multivector};
+use hymv_la::{LinOp, MultiLinOp, Multivector};
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
-use crate::block::{batch_width_from_env, BlockPlan};
+use crate::block::{batch_width_from_env, check_batch_width, BlockPlan, KeLaneMut, KeView};
 use crate::da::{DistArray, DistMultivector};
 use crate::exchange::GhostExchange;
-use crate::hybrid::{
-    emv_loop_chunk_private, emv_loop_colored, emv_loop_serial, try_color_elements, ParallelMode,
-};
+use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
 
 /// Setup cost breakdown, matching the stacked bars of Figs 5 and 7:
 /// element-matrix computation vs everything HYMV adds on top (map builds,
-/// communication-map construction, and the local copy into the store —
+/// communication-map construction, and the local copy into the slabs —
 /// there is **no global assembly**).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SetupTimings {
     /// Element-matrix computation (user-operator cost; identical work in
     /// the matrix-assembled baseline).
     pub emat_compute_s: f64,
-    /// Local copy of the computed matrices into HYMV's store.
+    /// Local copy of the computed matrices into their slab lanes.
     pub local_copy_s: f64,
     /// E2L map construction (Algorithm 1) — local.
     pub maps_s: f64,
@@ -47,26 +44,24 @@ impl SetupTimings {
 pub struct HymvOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
-    store: ElementMatrixStore,
     ndof: usize,
     u: DistArray,
     v: DistArray,
     mode: ParallelMode,
-    /// Color classes for the independent / dependent sets (built lazily
-    /// when a colored mode is selected). Block ids when a plan is active,
-    /// element ids on the per-element (`B=1`) path.
+    /// Block color classes for the independent / dependent sets (built
+    /// lazily when a colored mode is selected).
     colors: Option<(Vec<Vec<u32>>, Vec<Vec<u32>>)>,
-    /// The batched element-block plan — the default SPMV path. `None`
-    /// exactly when the batch width is 1 (the per-element legacy path).
-    plan: Option<BlockPlan>,
+    /// The element-block plan. Its batch-interleaved slabs are the only
+    /// copy of the element matrices; `B = 1` is a width-1 plan.
+    plan: BlockPlan,
     /// Batched kernel resolved once per batch width (not per element).
     batch_kernel: EmvBatchKernel,
-    /// Elements whose stored matrix changed since the plan's slabs were
-    /// last refreshed (`ke_mut` / `update_elements`).
-    dirty: Vec<u32>,
     /// Serial scratch (`nd × bw` panels).
     ue: Vec<f64>,
     ve: Vec<f64>,
+    /// `nd²` scratch an updated element matrix is computed into before it
+    /// is interleaved into its lane.
+    ke: Vec<f64>,
     /// Multivector workspace, built lazily on the first `matvec_mv` and
     /// rebuilt when the requested `nvec` changes.
     mv_ws: Option<MvWorkspace>,
@@ -106,45 +101,36 @@ impl HymvOperator {
         let exchange = GhostExchange::build(comm, &maps);
         t.comm_maps_s = comm.vt() - vt0;
 
-        // Element matrices: computed into a user-side buffer (the cost any
-        // approach pays), then copied into the store (HYMV's "local copy").
-        // The two sub-costs interleave per element, so each leg is charged
-        // through its own timed section.
-        let mut store = ElementMatrixStore::new(nd, maps.n_elems);
-        let mut ke_buf = vec![0.0; nd * nd];
-        let mut scratch = KernelScratch::default();
-        comm.traced(Phase::EmatCompute, |comm| {
-            for e in 0..maps.n_elems {
-                let (_, te) = comm.timed_work(|_| {
-                    kernel.compute_ke(part.elem_node_coords(e), &mut ke_buf, &mut scratch);
-                });
-                let (_, tc) = comm.timed_work(|_| store.ke_mut(e).copy_from_slice(&ke_buf));
-                t.emat_compute_s += te;
-                t.local_copy_s += tc;
-            }
-        });
-
-        // Block plan: the batched engine is the default path
-        // (`HYMV_EMV_BATCH=1` recovers the per-element loop). Charged to
-        // the map-construction bar: it is map/layout work, purely local.
+        // Block plan tables (`HYMV_EMV_BATCH` selects the width). Charged
+        // to the map-construction bar: it is map/layout work, purely local.
         let bw = batch_width_from_env();
-        let (plan, dt) = comm.traced(Phase::PlanBuild, |comm| {
-            comm.timed_work(|_| {
-                (bw > 1).then(|| {
-                    let mut p = BlockPlan::build(&maps, ndof, bw);
-                    p.attach_store(&store);
-                    p
-                })
-            })
+        let (mut plan, dt) = comm.traced(Phase::PlanBuild, |comm| {
+            comm.timed_work(|_| BlockPlan::build(&maps, ndof, bw))
         });
         t.maps_s += dt;
+
+        // Element matrices: computed into a user-side buffer (the cost any
+        // approach pays), then interleaved into their slab lanes (HYMV's
+        // "local copy"). The two sub-costs interleave per element, so each
+        // leg is charged through its own timed section.
+        let mut ke = vec![0.0; nd * nd];
+        let mut scratch = KernelScratch::default();
+        comm.traced(Phase::EmatCompute, |comm| {
+            plan.attach_with(|e, mut lane| {
+                let (_, te) = comm.timed_work(|_| {
+                    kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
+                });
+                let (_, tc) = comm.timed_work(|_| lane.copy_from(&ke));
+                t.emat_compute_s += te;
+                t.local_copy_s += tc;
+            });
+        });
 
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
         let op = HymvOperator {
             maps,
             exchange,
-            store,
             ndof,
             u,
             v,
@@ -152,41 +138,46 @@ impl HymvOperator {
             colors: None,
             plan,
             batch_kernel: select_batch_kernel(bw),
-            dirty: Vec::new(),
             ue: vec![0.0; nd * bw],
             ve: vec![0.0; nd * bw],
+            ke,
             mv_ws: None,
         };
         setup_span.close(comm.vt());
         (op, t)
     }
 
-    /// Current batch width (`1` = per-element legacy path).
+    /// Current batch width.
     pub fn batch_width(&self) -> usize {
-        self.plan.as_ref().map_or(1, |p| p.batch_width())
+        self.plan.batch_width()
     }
 
-    /// The block plan (None on the per-element path).
+    /// The block plan. Always `Some`: every batch width, `1` included,
+    /// runs through a plan (the `Option` is kept for callers written
+    /// against the per-element path).
     pub fn block_plan(&self) -> Option<&BlockPlan> {
-        self.plan.as_ref()
+        Some(&self.plan)
     }
 
-    /// Rebuild the plan for a different batch width (`1` disables
-    /// batching entirely, recovering the original per-element loops).
+    /// Rebuild the plan for a different batch width, carrying every
+    /// element matrix (including `ke_mut` writes) over lane by lane.
     /// Ablation/test hook; production code sets `HYMV_EMV_BATCH` instead.
+    ///
+    /// # Panics
+    /// On an invalid width (`0` or above `MAX_BATCH_WIDTH`), with the
+    /// same message as [`crate::parse_batch_width`] — never a silent
+    /// clamp.
     pub fn set_batch_width(&mut self, bw: usize) {
-        let bw = bw.clamp(1, MAX_BATCH_WIDTH);
+        let bw = check_batch_width(bw).unwrap_or_else(|e| panic!("{e}"));
         if bw == self.batch_width() {
             return;
         }
-        self.plan = (bw > 1).then(|| {
-            let mut p = BlockPlan::build(&self.maps, self.ndof, bw);
-            p.attach_store(&self.store);
-            p
-        });
+        let mut plan = BlockPlan::build(&self.maps, self.ndof, bw);
+        let old = &self.plan;
+        plan.attach_with(|e, mut lane| lane.copy_from(old.ke(e)));
+        self.plan = plan;
         self.batch_kernel = select_batch_kernel(bw);
-        self.dirty.clear();
-        let nd = self.store.nd();
+        let nd = self.plan.nd();
         self.ue = vec![0.0; nd * bw];
         self.ve = vec![0.0; nd * bw];
         // Panel scratch was sized for the old width.
@@ -199,20 +190,18 @@ impl HymvOperator {
 
     /// Select the shared-memory parallelization of the elemental loop.
     ///
-    /// Coloring runs at block granularity when the batched plan is active,
-    /// element granularity otherwise. If the mesh would need more than 64
-    /// colors (a node valence past the color mask), the operator logs a
-    /// line and falls back to chunk-private accumulation instead of
-    /// aborting the SPMV.
+    /// Coloring runs at block granularity. If the mesh would need more
+    /// than 64 colors (a node valence past the color mask), the operator
+    /// logs a line and falls back to chunk-private accumulation instead
+    /// of aborting the SPMV.
     pub fn set_parallel_mode(&mut self, mode: ParallelMode) {
         self.mode = mode;
         if let ParallelMode::Colored { threads } = mode {
             if self.colors.is_none() {
-                let built = match &self.plan {
-                    Some(plan) => plan.color_blocks(false).zip(plan.color_blocks(true)),
-                    None => try_color_elements(&self.maps, &self.maps.independent)
-                        .zip(try_color_elements(&self.maps, &self.maps.dependent)),
-                };
+                let built = self
+                    .plan
+                    .color_blocks(false)
+                    .zip(self.plan.color_blocks(true));
                 match built {
                     Some(classes) => self.colors = Some(classes),
                     None => {
@@ -229,8 +218,9 @@ impl HymvOperator {
 
     /// The adaptive-matrix path: recompute the element matrices of
     /// `local_elems` only (XFEM enrichment / AMR refinement touching a few
-    /// elements). Purely local — no communication, no global reassembly.
-    /// Returns the update time in virtual seconds.
+    /// elements) and write each straight into its slab lane. Purely local
+    /// — no communication, no global reassembly. Returns the update time
+    /// in virtual seconds.
     pub fn update_elements(
         &mut self,
         comm: &mut Comm,
@@ -240,42 +230,32 @@ impl HymvOperator {
     ) -> f64 {
         assert_eq!(
             kernel.ndof_elem(),
-            self.store.nd(),
+            self.plan.nd(),
             "kernel/operator dimension mismatch"
         );
-        let vt0 = comm.vt();
-        let mut scratch = KernelScratch::default();
         for &e in local_elems {
             assert!(e < self.maps.n_elems, "element {e} out of range");
-            let coords = part.elem_node_coords(e);
-            let store = &mut self.store;
-            comm.work(|| kernel.compute_ke(coords, store.ke_mut(e), &mut scratch));
-            self.dirty.push(e as u32);
         }
+        let vt0 = comm.vt();
+        let (plan, ke) = (&mut self.plan, &mut self.ke);
+        comm.work(|| {
+            let mut scratch = KernelScratch::default();
+            for &e in local_elems {
+                kernel.compute_ke(part.elem_node_coords(e), ke, &mut scratch);
+                plan.ke_mut(e).copy_from(&*ke);
+            }
+        });
         comm.vt() - vt0
     }
 
-    /// Direct mutable access to one stored element matrix (the API users
-    /// call when *they* computed the enriched matrix, e.g. XFEM).
-    pub fn ke_mut(&mut self, local_elem: usize) -> &mut [f64] {
-        self.dirty.push(local_elem as u32);
-        self.store.ke_mut(local_elem)
-    }
-
-    /// Re-interleave dirty element matrices into the plan's block slabs
-    /// (no-op on the per-element path or when nothing changed).
-    fn flush_updates(&mut self, comm: &mut Comm) {
-        if self.dirty.is_empty() {
-            return;
-        }
-        if let Some(plan) = &mut self.plan {
-            let (store, dirty) = (&self.store, &self.dirty);
-            comm.traced(Phase::BlockRefresh, |comm| {
-                comm.work_with(|_| plan.refresh(store, dirty));
-            });
-            hymv_trace::counter_add("hymv_block_refresh_total", &[], dirty.len() as u64);
-        }
-        self.dirty.clear();
+    /// Direct mutable access to one element matrix, in place in its slab
+    /// lane (the API users call when *they* computed the enriched matrix,
+    /// e.g. XFEM). The next apply sees the write.
+    ///
+    /// # Panics
+    /// If `local_elem` is not a local element.
+    pub fn ke_mut(&mut self, local_elem: usize) -> KeLaneMut<'_> {
+        self.plan.ke_mut(local_elem)
     }
 
     /// The maps (tests, diagnostics).
@@ -294,9 +274,9 @@ impl HymvOperator {
         self.exchange.set_raw_transport(raw);
     }
 
-    /// The element-matrix store.
-    pub fn store(&self) -> &ElementMatrixStore {
-        &self.store
+    /// Read-only view of the element matrices (served from the slabs).
+    pub fn store(&self) -> KeView<'_> {
+        self.plan.matrices()
     }
 
     /// Dofs per node.
@@ -304,71 +284,33 @@ impl HymvOperator {
         self.ndof
     }
 
-    /// Decompose into the maps, communication plan, and element-matrix
-    /// store (the GPU backend reuses them without copying).
-    pub fn into_parts(self) -> (HymvMaps, GhostExchange, ElementMatrixStore, usize) {
-        (self.maps, self.exchange, self.store, self.ndof)
+    /// Decompose into the maps, communication plan, and block plan with
+    /// its matrix slabs (the GPU backend reuses them without copying).
+    pub fn into_parts(self) -> (HymvMaps, GhostExchange, BlockPlan, usize) {
+        (self.maps, self.exchange, self.plan, self.ndof)
     }
 
     /// One elemental EMV loop over a subset, honoring the parallel mode.
-    /// Runs through the batched block plan when one is active (the default),
-    /// the per-element legacy loops otherwise (`B=1`).
     fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        if let Some(plan) = &self.plan {
-            let kernel = self.batch_kernel;
-            let (u, v) = (&self.u, &mut self.v);
-            match self.mode {
-                ParallelMode::Serial => {
-                    let (ue, ve) = (&mut self.ue, &mut self.ve);
-                    comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
-                }
-                ParallelMode::Colored { threads } => {
-                    let (indep, dep) = self
-                        .colors
-                        .as_ref()
-                        .expect("set_parallel_mode built colors");
-                    let classes = if dependent { dep } else { indep };
-                    comm.work_smp(threads, || {
-                        plan.run_colored(dependent, classes, u, v, kernel)
-                    });
-                }
-                ParallelMode::ChunkPrivate { threads } => {
-                    comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
-                }
-            }
-            return;
-        }
-        let subset: &[u32] = if dependent {
-            &self.maps.dependent
-        } else {
-            &self.maps.independent
-        };
+        let (plan, kernel) = (&self.plan, self.batch_kernel);
+        let (u, v) = (&self.u, &mut self.v);
         match self.mode {
             ParallelMode::Serial => {
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
                 let (ue, ve) = (&mut self.ue, &mut self.ve);
-                comm.work(|| emv_loop_serial(maps, store, u, v, subset, ue, ve));
+                comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
             }
             ParallelMode::Colored { threads } => {
-                let classes = {
-                    let (indep, dep) = self
-                        .colors
-                        .as_ref()
-                        .expect("set_parallel_mode built colors");
-                    if dependent {
-                        dep
-                    } else {
-                        indep
-                    }
-                };
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
-                comm.work_smp(threads, || emv_loop_colored(maps, store, u, v, classes));
+                let (indep, dep) = self
+                    .colors
+                    .as_ref()
+                    .expect("set_parallel_mode built colors");
+                let classes = if dependent { dep } else { indep };
+                comm.work_smp(threads, || {
+                    plan.run_colored(dependent, classes, u, v, kernel)
+                });
             }
             ParallelMode::ChunkPrivate { threads } => {
-                let (maps, store, u, v) = (&self.maps, &self.store, &self.u, &mut self.v);
-                comm.work_smp(threads, || {
-                    emv_loop_chunk_private(maps, store, u, v, subset)
-                });
+                comm.work_smp(threads, || plan.run_chunk_private(dependent, u, v, kernel));
             }
         }
     }
@@ -384,7 +326,6 @@ impl HymvOperator {
         if comm.degraded() {
             return self.matvec_blocking(comm, x, y);
         }
-        self.flush_updates(comm);
         // v ← 0; u ← x with fresh ghosts.
         self.v.fill_zero();
         self.u.set_owned(x);
@@ -411,7 +352,6 @@ impl HymvOperator {
     /// A deliberately non-overlapped SPMV (blocking exchange up front, then
     /// all elements) — the ablation counterpart of Algorithm 2.
     pub fn matvec_blocking(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        self.flush_updates(comm);
         self.v.fill_zero();
         self.u.set_owned(x);
         self.exchange.scatter_begin(comm, &self.u);
@@ -432,15 +372,15 @@ impl HymvOperator {
     /// slab is loaded once per block and reused across all `nvec`
     /// columns, and the ghost exchange coalesces every column of a
     /// fragment into one envelope per (neighbor, tag). Falls back to
-    /// `nvec` sequential [`Self::matvec`] calls on the per-element path
-    /// (`B = 1`, no block plan) and on a degraded channel, where the
-    /// conservative schedule is the robust one.
+    /// `nvec` sequential [`Self::matvec`] calls at `B = 1` and on a
+    /// degraded channel, where the conservative schedule is the robust
+    /// one.
     pub fn matvec_mv(&mut self, comm: &mut Comm, x: &Multivector, y: &mut Multivector) {
         assert_eq!(x.nrows(), self.n_owned(), "input row mismatch");
         assert_eq!(y.nrows(), self.n_owned(), "output row mismatch");
         assert_eq!(x.nvec(), y.nvec(), "column-count mismatch");
         let nvec = x.nvec();
-        if self.plan.is_none() || comm.degraded() {
+        if self.batch_width() == 1 || comm.degraded() {
             let mut yc = vec![0.0; self.n_owned()];
             for c in 0..nvec {
                 self.matvec(comm, x.col(c), &mut yc);
@@ -448,10 +388,9 @@ impl HymvOperator {
             }
             return;
         }
-        self.flush_updates(comm);
         let flops = self.flops_per_apply() * nvec as u64;
+        let plan = &self.plan;
         if self.mv_ws.as_ref().is_none_or(|ws| ws.nvec != nvec) {
-            let plan = self.plan.as_ref().expect("checked above");
             let pl = plan.nd() * plan.batch_width() * nvec;
             self.mv_ws = Some(MvWorkspace {
                 nvec,
@@ -462,7 +401,6 @@ impl HymvOperator {
                 ve: vec![0.0; pl],
             });
         }
-        let plan = self.plan.as_ref().expect("checked above");
         let ws = self.mv_ws.as_mut().expect("built above");
 
         // V ← 0; U ← X with fresh ghosts.
@@ -517,20 +455,14 @@ impl LinOp for HymvOperator {
     }
 
     fn flops_per_apply(&self) -> u64 {
-        match &self.plan {
-            // Batched path: padded tail lanes execute (zero-matrix) FLOPs
-            // too — count what actually runs.
-            Some(plan) => {
-                plan.n_blocks_total() as u64 * emv_batch_flops(self.store.nd(), plan.batch_width())
-            }
-            None => self.maps.n_elems as u64 * emv_flops(self.store.nd()),
-        }
+        // Padded tail lanes execute (zero-matrix) FLOPs too — count what
+        // actually runs.
+        self.plan.n_blocks_total() as u64 * emv_batch_flops(self.plan.nd(), self.batch_width())
     }
 
     fn storage_bytes(&self) -> usize {
-        // The interleaved slabs are what the batched SPMV streams; the
-        // store remains authoritative for adaptive updates, so both count.
-        self.store.bytes() + self.plan.as_ref().map_or(0, |p| p.bytes())
+        // The slabs are the only copy of the matrices.
+        self.plan.bytes()
     }
 
     /// LFLR world repair: the partition is unchanged, but a resurrected
@@ -538,19 +470,14 @@ impl LinOp for HymvOperator {
     /// `GhostExchange::build` is collective (it runs a sparse all-to-all),
     /// so every rank rebuilds — survivors get a bit-identical plan, the
     /// resurrected ranks get theirs back from the unchanged maps. The
-    /// purely local derived state (block plan, panel scratch, colors) is
-    /// rebuilt on the resurrected ranks only.
+    /// block plan's slabs *are* the element matrices, so a resurrected
+    /// rank keeps them and drops only its derived state (SpMM workspace,
+    /// colors).
     fn repair(&mut self, comm: &mut Comm, dead: &[usize]) {
         let raw = self.exchange.raw_transport();
         self.exchange = GhostExchange::build(comm, &self.maps);
         self.exchange.set_raw_transport(raw);
         if dead.contains(&comm.rank()) {
-            let bw = self.batch_width();
-            self.plan = (bw > 1).then(|| {
-                let mut p = BlockPlan::build(&self.maps, self.ndof, bw);
-                p.attach_store(&self.store);
-                p
-            });
             self.mv_ws = None;
             self.colors = None;
             self.set_parallel_mode(self.mode);
@@ -772,13 +699,13 @@ mod tests {
             (legacy, batched)
         });
         let (legacy, batched) = out[0];
-        // Per-element: 8 elements × 2 × 8² flops; store only.
+        // bw=1: 8 elements × 2 × 8² flops; storage is the one copy of the
+        // matrices (8 width-1 slabs of 64 f64) + the gather tables (u32).
         assert_eq!(legacy.0, 8 * 128);
-        assert_eq!(legacy.1, 8 * 64 * 8);
-        // Batched (bw=8, 8 elements → exactly one block): same flops, and
-        // storage adds the interleaved slab (f64) + gather table (u32).
+        assert_eq!(legacy.1, 8 * 64 * 8 + 8 * 8 * 4);
+        // bw=8 (8 elements → exactly one block): same flops, same bytes.
         assert_eq!(batched.0, 8 * 128);
-        assert_eq!(batched.1, 8 * 64 * 8 + (64 * 8) * 8 + (8 * 8) * 4);
+        assert_eq!(batched.1, 8 * 64 * 8 + 8 * 8 * 4);
     }
 
     #[test]
@@ -809,8 +736,8 @@ mod tests {
 
     #[test]
     fn adaptive_update_reaches_batched_slabs() {
-        // ke_mut on the batched path must change the next matvec (the
-        // dirty-flush covers the plan's interleaved copies).
+        // ke_mut on the batched path must change the next matvec (it
+        // writes the slab lane the SPMV streams).
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
         let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
         let out = Universe::run(1, |comm| {
@@ -826,7 +753,7 @@ mod tests {
             }
             let mut y1 = vec![0.0; op.n_owned()];
             op.matvec(comm, &x, &mut y1);
-            // Cross-check against the per-element path on the same store.
+            // Cross-check at B=1: the width change carries the write over.
             op.set_batch_width(1);
             let mut y1_ref = vec![0.0; op.n_owned()];
             op.matvec(comm, &x, &mut y1_ref);
@@ -842,7 +769,7 @@ mod tests {
     /// The SpMM path is bitwise identical to `nvec` sequential SPMVs in
     /// every kernel-class-matched configuration: SIMD batch widths with
     /// SIMD column counts (bw = 8 against nvec ∈ {4, 8, 16}), the
-    /// portable pair (bw = 5, nvec = 5), and the per-element fallback
+    /// portable pair (bw = 5, nvec = 5), and the width-1 fallback
     /// (bw = 1, which routes through `matvec` column by column). Runs on
     /// 2 ranks so the coalesced exchange is exercised, for scalar
     /// (Poisson) and vector (elasticity, ndof = 3) problems.
@@ -985,5 +912,126 @@ mod tests {
         for (a, b) in y_serial.iter().zip(y) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 0 is invalid")]
+    fn set_batch_width_rejects_zero() {
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            op.set_batch_width(0);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "batch width 65 exceeds the maximum of 64")]
+    fn set_batch_width_rejects_65() {
+        let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+        Universe::run(1, |comm| {
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            let (mut op, _) = HymvOperator::setup(comm, &pm.parts[0], &kernel);
+            op.set_batch_width(65);
+        });
+    }
+
+    /// The slabs are the only copy of `Ke`, written in place: a history of
+    /// seeded `ke_mut` band writes and `update_elements` restores leaves
+    /// the operator bitwise equal to a fresh setup given only the net
+    /// writes, padded tail lanes stay zero, a width change carries every
+    /// write over, and storage is exactly the plan.
+    #[test]
+    fn in_place_lane_writes_equal_fresh_setup() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // 27 elements over 2 ranks: ragged tail blocks at bw = 5 and 8.
+        let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
+        let pm = partition_mesh(&mesh, 2, PartitionMethod::GreedyGraph);
+        let ok = Universe::run(2, |comm| {
+            let part = &pm.parts[comm.rank()];
+            let kernel = PoissonKernel::new(ElementType::Hex8);
+            for (bw, next_bw) in [(1usize, 5usize), (5, 8), (8, 1)] {
+                let (mut a, _) = HymvOperator::setup(comm, part, &kernel);
+                a.set_batch_width(bw);
+                let pristine = a.store().as_slice();
+                let nd2 = a.store().nd() * a.store().nd();
+                let n_elems = a.store().n_elems();
+                let mut rng = StdRng::seed_from_u64(17 + bw as u64 + comm.rank() as u64);
+                // Net scale per element after the whole history.
+                let mut scale = vec![1.0f64; n_elems];
+                let write = |op: &mut HymvOperator, e: usize, s: f64| {
+                    let src = &pristine[e * nd2..(e + 1) * nd2];
+                    for (dst, &v) in op.ke_mut(e).iter_mut().zip(src) {
+                        *dst = s * v;
+                    }
+                };
+                let x: Vec<f64> = (0..a.n_owned()).map(|i| (i as f64 * 0.37).sin()).collect();
+                let mut ya = vec![0.0; a.n_owned()];
+                for round in 0..3 {
+                    let band: Vec<usize> =
+                        (0..n_elems).filter(|_| rng.gen_range(0..4) == 0).collect();
+                    for &e in &band {
+                        let s = rng.gen_range(0.2..0.8);
+                        write(&mut a, e, s);
+                        scale[e] = s;
+                    }
+                    // Restore every other band element through the kernel.
+                    let restored: Vec<usize> = band.iter().copied().step_by(2).collect();
+                    a.update_elements(comm, part, &kernel, &restored);
+                    for &e in &restored {
+                        scale[e] = 1.0;
+                    }
+                    if round < 2 {
+                        a.matvec(comm, &x, &mut ya);
+                    }
+                }
+                a.matvec(comm, &x, &mut ya);
+
+                // (a) a fresh operator given only the net writes.
+                let (mut b, _) = HymvOperator::setup(comm, part, &kernel);
+                b.set_batch_width(bw);
+                for (e, &s) in scale.iter().enumerate() {
+                    if s != 1.0 {
+                        write(&mut b, e, s);
+                    }
+                }
+                let mut yb = vec![0.0; b.n_owned()];
+                b.matvec(comm, &x, &mut yb);
+                assert!(
+                    ya.iter().zip(&yb).all(|(p, q)| p.to_bits() == q.to_bits()),
+                    "bw={bw}: in-place writes differ from a fresh setup"
+                );
+
+                // (b) padded tail lanes are still zero.
+                let plan = a.block_plan().unwrap();
+                for dependent in [false, true] {
+                    let set = plan.set(dependent);
+                    for k in 0..set.n_blocks() {
+                        for (i, v) in set.keb(k).iter().enumerate() {
+                            if i % bw >= set.len(k) {
+                                assert_eq!(v.to_bits(), 0, "bw={bw} block {k} slot {i}");
+                            }
+                        }
+                    }
+                }
+
+                // (d) storage is exactly the plan.
+                assert_eq!(a.storage_bytes(), a.block_plan().unwrap().bytes());
+
+                // (c) a width change carries every write over.
+                a.set_batch_width(next_bw);
+                assert_eq!(a.storage_bytes(), a.block_plan().unwrap().bytes());
+                let mut yc = vec![0.0; a.n_owned()];
+                a.matvec(comm, &x, &mut yc);
+                for (p, q) in ya.iter().zip(&yc) {
+                    assert!((p - q).abs() < 1e-12, "bw={bw}->{next_bw}: {p} vs {q}");
+                }
+            }
+            true
+        });
+        assert!(ok.iter().all(|&b| b));
     }
 }

@@ -8,13 +8,14 @@ use hymv_comm::Comm;
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_la::solver::{cg, CgResult};
-use hymv_la::{BlockJacobi, ElementMatrixStore, Identity, Jacobi, LinOp, SerialCsr};
+use hymv_la::{BlockJacobi, Identity, Jacobi, LinOp, SerialCsr};
 use hymv_mesh::MeshPartition;
 
 use crate::assemble::{
     assemble_rhs, assemble_traction, jacobi_diagonal, owned_block_csr, owned_node_coords,
 };
 use crate::assembled::AssembledOperator;
+use crate::block::BlockPlan;
 use crate::dirichlet_op::{owned_constraints, DirichletOp};
 use crate::exchange::GhostExchange;
 use crate::hybrid::ParallelMode;
@@ -183,15 +184,17 @@ impl FemSystem {
             }
             Method::MatFree => {
                 let op = MatFreeOperator::setup(comm, part, Arc::clone(&kernel));
-                // Matrix-free Jacobi setup: one transient pass over element
-                // matrices (not stored — the diagonal only).
+                // Matrix-free Jacobi setup: one transient width-1 plan of
+                // element matrices (dropped once the diagonal is taken).
                 let diag = {
-                    let mut store = ElementMatrixStore::new(kernel.ndof_elem(), maps.n_elems);
+                    let mut plan = BlockPlan::build(&maps, ndof, 1);
+                    let mut ke = vec![0.0; kernel.ndof_elem() * kernel.ndof_elem()];
                     let mut scratch = KernelScratch::default();
-                    for e in 0..maps.n_elems {
-                        kernel.compute_ke(part.elem_node_coords(e), store.ke_mut(e), &mut scratch);
-                    }
-                    jacobi_diagonal(comm, &maps, &exchange, &store, ndof)
+                    plan.attach_with(|e, mut lane| {
+                        kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
+                        lane.copy_from(&ke);
+                    });
+                    jacobi_diagonal(comm, &maps, &exchange, plan.matrices(), ndof)
                 };
                 assert!(
                     !opts.want_block_jacobi,

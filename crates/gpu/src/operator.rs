@@ -11,14 +11,14 @@
 //! measured host pack/accumulate time.
 
 use hymv_comm::Comm;
-use hymv_core::block::{batch_width_from_env, BlockPlan};
+use hymv_core::block::{BlockPlan, KeView};
 use hymv_core::da::DistArray;
 use hymv_core::exchange::GhostExchange;
 use hymv_core::maps::HymvMaps;
 use hymv_core::operator::{HymvOperator, SetupTimings};
 use hymv_fem::kernel::ElementKernel;
 use hymv_la::dense::{emv_batch_flops, select_batch_kernel, EmvBatchKernel};
-use hymv_la::{ElementMatrixStore, LinOp};
+use hymv_la::LinOp;
 use hymv_mesh::MeshPartition;
 
 use crate::model::GpuModel;
@@ -63,7 +63,6 @@ fn dispatch_batch_kernel(
 pub struct HymvGpuOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
-    store: ElementMatrixStore,
     ndof: usize,
     u: DistArray,
     v: DistArray,
@@ -71,9 +70,9 @@ pub struct HymvGpuOperator {
     scheme: GpuScheme,
     /// Modeled host ("OpenMP") threads for pack/accumulate.
     host_threads: usize,
-    /// Block plan shared with the CPU engine: its batch-interleaved slabs
-    /// are the device-resident matrices, its panels the staging layout
-    /// (always present on the GPU path; `bw = 1` degenerates to
+    /// The CPU operator's block plan, taken over whole: its
+    /// batch-interleaved slabs are the device-resident matrices (their only
+    /// copy), its panels the staging layout (`bw = 1` degenerates to
     /// per-element panels).
     plan: BlockPlan,
     batch_kernel: EmvBatchKernel,
@@ -86,9 +85,9 @@ pub struct HymvGpuOperator {
 }
 
 impl HymvGpuOperator {
-    /// GPU setup: the CPU HYMV setup plus a one-time H2D upload of the
-    /// element-matrix store (the overhead that makes GPU setup slightly
-    /// slower than CPU setup in Fig 8). Collective.
+    /// GPU setup: the CPU HYMV setup plus a one-time H2D upload of its
+    /// matrix slabs (the overhead that makes GPU setup slightly slower than
+    /// CPU setup in Fig 8). Collective.
     pub fn setup(
         comm: &mut Comm,
         part: &MeshPartition,
@@ -99,23 +98,15 @@ impl HymvGpuOperator {
         host_threads: usize,
     ) -> (Self, SetupTimings) {
         let (cpu_op, mut timings) = HymvOperator::setup(comm, part, kernel);
-        let (maps, exchange, store, ndof) = cpu_op.into_parts();
-
-        // The device works on the interleaved block slabs; bw=1 keeps the
-        // panel layout but makes it elementwise.
-        let bw = batch_width_from_env();
-        let plan = comm.work(|| {
-            let mut p = BlockPlan::build(&maps, ndof, bw);
-            p.attach_store(&store);
-            p
-        });
+        // The device works on the CPU operator's interleaved block slabs.
+        let (maps, exchange, plan, ndof) = cpu_op.into_parts();
 
         let mut sim = DeviceSim::new(model, n_streams);
         let anchor_vt = comm.vt();
         sim.begin_window();
         // Upload what the device kernels consume: the interleaved matrix
         // slabs plus the gather tables.
-        sim.h2d(0, plan.device_bytes(), "upload element matrices");
+        sim.h2d(0, plan.bytes(), "upload element matrices");
         let upload_s = sim.window_elapsed();
         comm.add_modeled_time(upload_s);
         hymv_trace::gpu_span(
@@ -129,12 +120,12 @@ impl HymvGpuOperator {
         timings.local_copy_s += upload_s;
 
         let n_batch = plan.n_blocks_total() * plan.set(false).panel_len();
+        let batch_kernel = select_batch_kernel(plan.batch_width());
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
         let op = HymvGpuOperator {
             maps,
             exchange,
-            store,
             ndof,
             u,
             v,
@@ -142,7 +133,7 @@ impl HymvGpuOperator {
             scheme,
             host_threads,
             plan,
-            batch_kernel: select_batch_kernel(bw),
+            batch_kernel,
             bue: vec![0.0; n_batch],
             bve: vec![0.0; n_batch],
             upload_s,
@@ -181,9 +172,10 @@ impl HymvGpuOperator {
         self.upload_s
     }
 
-    /// The element-matrix store (device-resident in the paper).
-    pub fn store(&self) -> &ElementMatrixStore {
-        &self.store
+    /// Read-only view of the element matrices (device-resident in the
+    /// paper), served from the plan's slabs.
+    pub fn store(&self) -> KeView<'_> {
+        self.plan.matrices()
     }
 
     /// The maps.
@@ -395,7 +387,7 @@ impl LinOp for HymvGpuOperator {
     }
 
     fn storage_bytes(&self) -> usize {
-        self.store.bytes() + self.plan.bytes() + (self.bue.len() + self.bve.len()) * 8
+        self.plan.bytes() + (self.bue.len() + self.bve.len()) * 8
     }
 }
 
@@ -506,7 +498,7 @@ mod tests {
                 t_cpu.local_copy_s,
                 t_gpu.local_copy_s,
                 gpu.upload_seconds(),
-                gpu.plan().device_bytes(),
+                gpu.plan().bytes(),
             )
         });
         let (_cpu_copy, gpu_copy, upload, bytes) = out[0];

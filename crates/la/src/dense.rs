@@ -149,6 +149,11 @@ pub(crate) mod lanes {
 }
 
 /// Contiguous storage of `n_elems` column-major `nd × nd` element matrices.
+///
+/// The operators keep their matrices in the batch-interleaved slabs of
+/// `hymv_core::BlockPlan`; this element-major layout is the reference the
+/// block-engine tests and the per-element benchmark baseline compare
+/// against.
 #[derive(Debug, Clone)]
 pub struct ElementMatrixStore {
     nd: usize,
@@ -196,7 +201,7 @@ impl ElementMatrixStore {
         &mut self.data[e * sz..(e + 1) * sz]
     }
 
-    /// The whole storage as a flat slice (GPU upload path).
+    /// The whole storage as a flat slice.
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
@@ -362,46 +367,73 @@ pub fn emv_batch(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) 
 
 /// Pick the best batched-EMV variant for this CPU and batch width. The
 /// SIMD variants require `bw` to be a multiple of the vector width (and
-/// small enough to keep per-row accumulators in registers); other widths
+/// small enough to keep per-row accumulators in registers); `bw = 1` runs
+/// on the per-element kernels through the width-1 adapters; other widths
 /// fall back to the portable kernel, which autovectorizes well.
 pub fn select_batch_kernel(bw: usize) -> EmvBatchKernel {
     assert!(
         bw >= 1 && bw <= MAX_BATCH_WIDTH,
         "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
     );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if bw % 8 == 0 && bw <= 64 && is_x86_feature_detected!("avx512f") {
-            return emv_batch_avx512;
-        }
-        if bw % 4 == 0
-            && bw <= 32
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return emv_batch_avx2;
-        }
-    }
-    emv_batch_portable
+    batch_dispatch(bw).0
 }
 
 /// Name of the dispatched batched-kernel variant (for experiment logs).
 pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
+    batch_dispatch(bw).1
+}
+
+/// The one dispatch table behind [`select_batch_kernel`] and
+/// [`emv_batch_kernel_name`].
+fn batch_dispatch(bw: usize) -> (EmvBatchKernel, &'static str) {
     #[cfg(target_arch = "x86_64")]
     {
-        if bw % 8 == 0 && bw <= 64 && is_x86_feature_detected!("avx512f") {
-            return "batch-avx512f";
+        let avx512 = is_x86_feature_detected!("avx512f");
+        let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
+        if bw == 1 && avx512 {
+            return (emv_batch1_avx512, "batch1-avx512f");
         }
-        if bw % 4 == 0
-            && bw <= 32
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return "batch-avx2+fma";
+        if bw == 1 && avx2 {
+            return (emv_batch1_avx2, "batch1-avx2+fma");
+        }
+        if bw % 8 == 0 && bw <= 64 && avx512 {
+            return (emv_batch_avx512, "batch-avx512f");
+        }
+        if bw % 4 == 0 && bw <= 32 && avx2 {
+            return (emv_batch_avx2, "batch-avx2+fma");
         }
     }
-    let _ = bw;
-    "batch-portable"
+    if bw == 1 {
+        return (emv_batch1_portable, "batch1-portable");
+    }
+    (emv_batch_portable, "batch-portable")
+}
+
+// Width-1 adapters. A `bw = 1` slab (`keb[idx·1 + 0] = ke[idx]`) is
+// byte-for-byte the column-major `Ke` the per-element kernels read, and
+// the `nd × 1` panels are plain element vectors, so B=1 runs on the
+// per-element kernels unchanged. The batched contract at `bw = 1`
+// (`keb.len() = nd²`, `ue.len() = ve.len() = nd`) is exactly their
+// proved precondition.
+
+// verify: kernel-entry
+fn emv_batch1_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    debug_assert!(bw == 1 && ue.len() == nd);
+    emv_portable(keb, ue, ve);
+}
+
+#[cfg(target_arch = "x86_64")]
+// verify: kernel-entry
+fn emv_batch1_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    debug_assert!(bw == 1 && ue.len() == nd);
+    emv_avx2(keb, ue, ve);
+}
+
+#[cfg(target_arch = "x86_64")]
+// verify: kernel-entry
+fn emv_batch1_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+    debug_assert!(bw == 1 && ue.len() == nd);
+    emv_avx512(keb, ue, ve);
 }
 
 /// Portable batched kernel: column-axpy order (`j` outer) so `keb` is
@@ -878,6 +910,18 @@ mod tests {
                         variants.push(("avx512", emv_batch_avx512));
                     }
                 }
+                if bw == 1 {
+                    variants.push(("batch1-portable", emv_batch1_portable));
+                    #[cfg(target_arch = "x86_64")]
+                    {
+                        if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                            variants.push(("batch1-avx2", emv_batch1_avx2));
+                        }
+                        if is_x86_feature_detected!("avx512f") {
+                            variants.push(("batch1-avx512", emv_batch1_avx512));
+                        }
+                    }
+                }
                 variants.push(("dispatched", emv_batch as EmvBatchKernel));
 
                 for (name, kern) in variants {
@@ -1060,10 +1104,14 @@ mod tests {
 
     #[test]
     fn batch_kernel_name_reports_something() {
-        for bw in [1usize, 4, 8, 17] {
+        for bw in [4usize, 8, 17] {
             let name = emv_batch_kernel_name(bw);
             assert!(["batch-avx512f", "batch-avx2+fma", "batch-portable"].contains(&name));
         }
+        // B=1 names the width-1 adapter onto the per-element kernel.
+        let name = emv_batch_kernel_name(1);
+        assert!(["batch1-avx512f", "batch1-avx2+fma", "batch1-portable"].contains(&name));
+        assert_eq!(name.strip_prefix("batch1-"), Some(emv_kernel_name()));
     }
 
     #[test]

@@ -66,8 +66,6 @@ pub enum Phase {
     ExchangeBuild,
     /// Element-matrix computation inside setup.
     EmatCompute,
-    /// Element-matrix store copy inside setup.
-    LocalCopy,
     /// Block-plan construction inside setup.
     PlanBuild,
     /// Host-to-device upload of the element store (GPU operator setup).
@@ -85,8 +83,6 @@ pub enum Phase {
     GatherPost,
     /// Algorithm 2: receive + accumulate gathered ghost contributions.
     GatherAccum,
-    /// Adaptive refresh of dirty element blocks before an apply.
-    BlockRefresh,
     /// One Krylov solver iteration.
     SolverIter,
     /// A solve request entering the service queue (instant span; carries
@@ -115,7 +111,6 @@ impl Phase {
         Phase::MapsBuild,
         Phase::ExchangeBuild,
         Phase::EmatCompute,
-        Phase::LocalCopy,
         Phase::PlanBuild,
         Phase::GpuUpload,
         Phase::ScatterPost,
@@ -124,7 +119,6 @@ impl Phase {
         Phase::DepEmv,
         Phase::GatherPost,
         Phase::GatherAccum,
-        Phase::BlockRefresh,
         Phase::SolverIter,
         Phase::Submit,
         Phase::ServeBatch,
@@ -143,7 +137,6 @@ impl Phase {
             Phase::MapsBuild => "maps_build",
             Phase::ExchangeBuild => "exchange_build",
             Phase::EmatCompute => "emat_compute",
-            Phase::LocalCopy => "local_copy",
             Phase::PlanBuild => "plan_build",
             Phase::GpuUpload => "gpu_upload",
             Phase::ScatterPost => "scatter_post",
@@ -152,7 +145,6 @@ impl Phase {
             Phase::DepEmv => "dep_emv",
             Phase::GatherPost => "gather_post",
             Phase::GatherAccum => "gather_accum",
-            Phase::BlockRefresh => "block_refresh",
             Phase::SolverIter => "solver_iter",
             Phase::Submit => "submit",
             Phase::ServeBatch => "serve_batch",
@@ -172,7 +164,6 @@ impl Phase {
             | Phase::MapsBuild
             | Phase::ExchangeBuild
             | Phase::EmatCompute
-            | Phase::LocalCopy
             | Phase::PlanBuild
             | Phase::GpuUpload => "setup",
             Phase::ScatterPost
@@ -182,7 +173,7 @@ impl Phase {
             | Phase::Retry
             | Phase::Checkpoint
             | Phase::Recovery => "comm",
-            Phase::IndepEmv | Phase::DepEmv | Phase::BlockRefresh => "emv",
+            Phase::IndepEmv | Phase::DepEmv => "emv",
             Phase::SolverIter | Phase::Submit | Phase::ServeBatch => "solver",
             Phase::GpuH2D | Phase::GpuKernel | Phase::GpuD2H => "gpu",
         }
@@ -195,7 +186,6 @@ impl Phase {
             Phase::MapsBuild => 'm',
             Phase::ExchangeBuild => 'x',
             Phase::EmatCompute => 'e',
-            Phase::LocalCopy => 'c',
             Phase::PlanBuild => 'b',
             Phase::GpuUpload => 'u',
             Phase::ScatterPost => 'p',
@@ -206,7 +196,6 @@ impl Phase {
             Phase::DepEmv => '▓',
             Phase::GatherPost => 'g',
             Phase::GatherAccum => 'a',
-            Phase::BlockRefresh => 'r',
             Phase::SolverIter => 'i',
             Phase::Submit => 'q',
             Phase::ServeBatch => 'B',

@@ -247,7 +247,6 @@ impl Default for Metrics {
 pub fn help_for(name: &str) -> &'static str {
     match name {
         "hymv_emv_flops_total" => "Floating-point operations executed by EMV applies",
-        "hymv_block_refresh_total" => "Element blocks recomputed by adaptive refresh",
         "hymv_solver_iterations_total" => "Krylov solver iterations completed",
         "hymv_serve_requests_total" => "Solve requests submitted to the service",
         "hymv_serve_batches_total" => "Batches dispatched by the solve service",

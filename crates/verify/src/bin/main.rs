@@ -43,8 +43,10 @@
 //!    kernel entries, tag-literal flow through tag-generic parameters),
 //! 3. the bounds interpreter over the `// verify: prove-bounds` SIMD
 //!    kernels of `crates/la/src/dense.rs`,
-//! 4. the slab-contract cross-check: real `BlockPlan` slabs (bw 4 and 8)
-//!    must satisfy exactly the preconditions the kernel proofs assume, and
+//! 4. the slab-contract cross-check: real `BlockPlan` slabs (bw 1, 4 and
+//!    8) must satisfy exactly the preconditions the kernel proofs assume
+//!    (at bw 1 that is the per-element kernels' precondition: the width-1
+//!    adapters hand the slab to them unchanged), and
 //! 5. the collective-order pass: no rank-divergent collective call chains
 //!    anywhere in the workspace, with the inferred collective sequence of
 //!    every `// verify: collective-entry` phase printed for review.
@@ -221,10 +223,9 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
     let maps = HymvMaps::build(&pm.parts[0]);
     let mut slabs = 0usize;
     let mut slab_errs = Vec::new();
-    for bw in [4usize, 8] {
+    for bw in [1usize, 4, 8] {
         let mut plan = hymv_core::BlockPlan::build(&maps, 1, bw);
-        let store = hymv_la::ElementMatrixStore::new(plan.nd(), maps.n_elems);
-        plan.attach_store(&store);
+        plan.attach_with(|_, _| {});
         let nd = plan.nd();
         for dependent in [false, true] {
             let set = plan.set(dependent);

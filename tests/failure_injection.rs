@@ -148,6 +148,18 @@ fn adaptive_update_bounds_checked() {
 }
 
 #[test]
+#[should_panic(expected = "element 999999 out of range")]
+fn adaptive_ke_mut_bounds_checked() {
+    let mesh = StructuredHexMesh::unit(2, ElementType::Hex8).build();
+    let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
+    let _ = Universe::run(1, |comm| {
+        let kernel = PoissonKernel::new(ElementType::Hex8);
+        let (mut op, _) = hymv::core::HymvOperator::setup(comm, &pm.parts[0], &kernel);
+        op.ke_mut(999_999).iter_mut().for_each(|v| *v = 0.0);
+    });
+}
+
+#[test]
 #[should_panic(expected = "more partitions")]
 fn too_many_ranks_rejected() {
     let mesh = StructuredHexMesh::unit(1, ElementType::Hex8).build();
