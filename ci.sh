@@ -26,6 +26,9 @@ cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 4 --method rcb --seeds 
 echo "== hymv-check multivector SpMM determinism (B=8, nvec=8)"
 cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8
 
+echo "== hymv-check multivector SpMM determinism under the colored SMP driver (B=8, nvec=8)"
+cargo run -q -p hymv-check --bin hymv-check -- --n 4 --p 3 --method greedy --seeds 8 --batch 8 --nvec 8 --mode colored
+
 echo "== hymv-verify static passes (model check, alias proof, lint)"
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8
 cargo run -q -p hymv-verify --bin hymv-verify -- --n 4 --p 1,2,4,8 --method greedy --skip-lint

@@ -45,7 +45,7 @@ fn bench_emv_batch(c: &mut Criterion) {
             }
             let ue: Vec<f64> = (0..nd * bw).map(|_| rng.gen_range(-1.0..1.0)).collect();
             let mut ve = vec![0.0; nd * bw];
-            let kernel = select_batch_kernel(bw);
+            let kernel = select_batch_kernel(bw, 1);
             group.throughput(Throughput::Elements((2 * nd * nd * bw) as u64));
             group.bench_with_input(
                 BenchmarkId::new(format!("per_element_nd{nd}"), bw),
@@ -73,6 +73,7 @@ fn bench_emv_batch(c: &mut Criterion) {
                             &mut ve,
                             nd,
                             bw,
+                            1,
                         )
                     });
                 },

@@ -80,7 +80,7 @@ fn emv_block_seconds() -> f64 {
         .collect();
     let ue: Vec<f64> = (0..nd * bw).map(|_| rng.gen_range(-1.0..1.0)).collect();
     let mut ve = vec![0.0; nd * bw];
-    let kernel = select_batch_kernel(bw);
+    let kernel = select_batch_kernel(bw, 1);
     best_of(9, 2_000, || {
         kernel(
             std::hint::black_box(&keb),
@@ -88,6 +88,7 @@ fn emv_block_seconds() -> f64 {
             &mut ve,
             nd,
             bw,
+            1,
         );
     })
 }

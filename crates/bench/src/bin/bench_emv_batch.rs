@@ -70,7 +70,7 @@ fn main() {
     for &bw in &WIDTHS {
         let mut plan = BlockPlan::build(&maps, 1, bw);
         plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
-        let batch_kernel = select_batch_kernel(bw);
+        let batch_kernel = select_batch_kernel(bw, 1);
         let pl = plan.nd() * bw;
         let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
         let mut v = DistArray::new(&maps, 1);
@@ -92,7 +92,7 @@ fn main() {
         }
         rep.row(vec![
             bw.to_string(),
-            emv_batch_kernel_name(bw).to_string(),
+            emv_batch_kernel_name(bw, 1).to_string(),
             format!("{per_elem_s:.6}"),
             format!("{batched_s:.6}"),
             ratio(per_elem_s, batched_s),

@@ -3,10 +3,13 @@
 //! Two sweeps over `nvec ∈ {1, 2, 4, 8, 16}`:
 //!
 //! 1. **Kernel sweep** (Hex8 + Hex20, wall-clock, min-of-reps): `nvec`
-//!    sequential single-vector blocked EMV passes vs one `emv_batch_mv`
-//!    SpMM pass over the same element store. The SpMM streams each `Ke`
-//!    slab once for all `nvec` columns, so the win grows with `nvec`
-//!    and with `nd` (Hex20 slabs are 25× the panel traffic of Hex8).
+//!    width-1 passes of the one blocked loop (`BlockPlan::run_serial`
+//!    over single-vector DAs) vs one width-`nvec` pass of the same loop
+//!    over an `nvec`-column DA, each with its `(bw, nvec)` kernel from
+//!    the one dispatch table. The wide pass streams each `Ke` slab once
+//!    for all `nvec` columns, so the win grows with `nvec` and with `nd`
+//!    (Hex20 slabs are 25× the panel traffic of Hex8). At `nvec = 1` the
+//!    two sides are the same call: the row reads about 1.0×.
 //! 2. **Service sweep** (Hex20 Poisson, 8 ranks, virtual time): 16
 //!    independent right-hand sides solved through the [`SolveService`]
 //!    at batch width `nvec` vs one sequential CG per RHS, reported as
@@ -25,14 +28,14 @@ use std::time::Instant;
 use hymv_bench::{ratio, Reporter};
 use hymv_comm::Universe;
 use hymv_core::block::BlockPlan;
-use hymv_core::da::{DistArray, DistMultivector};
+use hymv_core::da::DistArray;
 use hymv_core::dirichlet_op::owned_constraints;
 use hymv_core::maps::HymvMaps;
 use hymv_core::{DirichletOp, HymvOperator};
 use hymv_fem::dirichlet::{constrained_dofs, DirichletSpec};
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
 use hymv_fem::PoissonKernel;
-use hymv_la::dense::{emv_batch_mv_kernel_name, select_batch_kernel, select_batch_mv_kernel};
+use hymv_la::dense::{emv_batch_kernel_name, select_batch_kernel};
 use hymv_la::{cg, Identity};
 use hymv_mesh::partition::{partition_mesh, PartitionMethod};
 use hymv_mesh::{ElementType, StructuredHexMesh};
@@ -42,7 +45,8 @@ const NVECS: [usize; 5] = [1, 2, 4, 8, 16];
 /// Batch width for the element dimension (fixed; the sweep is over columns).
 const BW: usize = 8;
 
-/// Kernel sweep: `nvec` sequential blocked SPMV passes vs one SpMM pass.
+/// Kernel sweep: `nvec` width-1 passes vs one width-`nvec` pass of the
+/// one blocked loop.
 fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
     let mesh = StructuredHexMesh::unit(n, et).build();
     let pm = partition_mesh(&mesh, 1, PartitionMethod::Slabs);
@@ -58,7 +62,7 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
         kernel.compute_ke(part.elem_node_coords(e), &mut ke, &mut scratch);
         lane.copy_from(&ke);
     });
-    let batch_kernel = select_batch_kernel(BW);
+    let batch_kernel = select_batch_kernel(BW, 1);
     let pl = plan.nd() * BW;
 
     for &nvec in &NVECS {
@@ -72,7 +76,7 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
             us.push(u);
         }
 
-        // Sequential baseline: nvec single-vector blocked passes.
+        // Baseline: nvec width-1 passes.
         let (mut ue1, mut ve1) = (vec![0.0; pl], vec![0.0; pl]);
         let mut vs: Vec<DistArray> = (0..nvec).map(|_| DistArray::new(&maps, 1)).collect();
         let mut seq_s = f64::INFINITY;
@@ -86,27 +90,27 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
             seq_s = seq_s.min(t0.elapsed().as_secs_f64());
         }
 
-        // SpMM: one multivector pass, Ke slabs streamed once per block.
-        let mv_kernel = select_batch_mv_kernel(nvec);
+        // One width-nvec pass, Ke slabs streamed once per block.
+        let mv_kernel = select_batch_kernel(BW, nvec);
         let plm = plan.nd() * BW * nvec;
         let (mut ue, mut ve) = (vec![0.0; plm], vec![0.0; plm]);
-        let mut u_mv = DistMultivector::new(&maps, 1, nvec);
+        let mut u_mv = DistArray::with_nvec(&maps, 1, nvec);
         for (i, chunk) in u_mv.data.chunks_exact_mut(nvec).enumerate() {
             for (c, x) in chunk.iter_mut().enumerate() {
                 *x = us[c].data[i];
             }
         }
-        let mut v_mv = DistMultivector::new(&maps, 1, nvec);
+        let mut v_mv = DistArray::with_nvec(&maps, 1, nvec);
         let mut spmm_s = f64::INFINITY;
         for _ in 0..reps {
             let t0 = Instant::now();
             v_mv.fill_zero();
-            plan.run_serial_mv(false, &u_mv, &mut v_mv, mv_kernel, nvec, &mut ue, &mut ve);
-            plan.run_serial_mv(true, &u_mv, &mut v_mv, mv_kernel, nvec, &mut ue, &mut ve);
+            plan.run_serial(false, &u_mv, &mut v_mv, mv_kernel, &mut ue, &mut ve);
+            plan.run_serial(true, &u_mv, &mut v_mv, mv_kernel, &mut ue, &mut ve);
             spmm_s = spmm_s.min(t0.elapsed().as_secs_f64());
         }
 
-        // Guard: the SpMM must reproduce every sequential column.
+        // Guard: the wide pass must reproduce every width-1 column.
         for (i, chunk) in v_mv.data.chunks_exact(nvec).enumerate() {
             for (c, got) in chunk.iter().enumerate() {
                 assert!(
@@ -119,7 +123,7 @@ fn kernel_sweep(rep: &mut Reporter, et: ElementType, n: usize, reps: usize) {
         rep.row(vec![
             format!("{et:?}"),
             nvec.to_string(),
-            emv_batch_mv_kernel_name(nvec).to_string(),
+            emv_batch_kernel_name(BW, nvec).to_string(),
             format!("{seq_s:.6}"),
             format!("{spmm_s:.6}"),
             ratio(seq_s, spmm_s),
@@ -254,8 +258,9 @@ fn main() {
     kernel_sweep(&mut rep, ElementType::Hex8, n8, reps);
     kernel_sweep(&mut rep, ElementType::Hex20, n20, reps);
     rep.note(format!(
-        "kernel sweep: BW={BW} element lanes, min-of-{reps} wall clock, \
-         SpMM streams each Ke slab once for all columns"
+        "kernel sweep: BW={BW} element lanes, min-of-{reps} wall clock; seq = nvec \
+         width-1 passes, spmm = one width-nvec pass of the same block loop, which \
+         streams each Ke slab once for all columns"
     ));
 
     // Service sweep: aggregate solve throughput through the batch service.

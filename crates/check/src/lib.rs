@@ -110,9 +110,9 @@ pub fn certify_spmv_determinism_with(
     })
 }
 
-/// [`certify_spmv_determinism_with`] for the multivector engine: one
-/// width-`nvec` SpMM (`Y = K X`) per rank — coalesced multivector ghost
-/// exchange, `emv_batch_mv` panels, strided gather/scatter — certified
+/// [`certify_spmv_determinism_with`] for a width-`nvec` apply: one SpMM
+/// (`Y = K X`) per rank under the given parallel mode — coalesced ghost
+/// exchange, `nd × bw × nvec` panels, strided gather/scatter — certified
 /// bitwise deterministic across every schedule perturbation seed.
 ///
 /// Column `0` carries the same deterministic input as the single-vector
@@ -210,19 +210,22 @@ mod tests {
     /// The multivector engine (SpMM) under the same bar: ≥ 8 seeds,
     /// bitwise-identical results across schedules, and column 0 bitwise
     /// equal to the single-vector certificate (bw = nvec = 8 selects the
-    /// same SIMD fmadd-chain class on whatever features this host has).
+    /// same SIMD fmadd-chain class on whatever features this host has) —
+    /// serially and under the colored SMP driver.
     #[test]
     fn multivector_spmm_bitwise_deterministic_across_8_seeds() {
         let mesh = StructuredHexMesh::unit(4, ElementType::Hex8).build();
         let pm = partition_mesh(&mesh, 4, PartitionMethod::GreedyGraph);
         let seeds: Vec<u64> = (1..=8).collect();
-        let mv = certify_spmm_determinism(&pm, ParallelMode::Serial, Some(8), 8, &seeds);
-        let single = certify_spmv_determinism_with(&pm, ParallelMode::Serial, Some(8), &seeds);
-        for (ym, ys) in mv.iter().zip(&single) {
-            let n = ys.len();
-            assert_eq!(ym.len(), n * 8);
-            for (a, b) in ym[..n].iter().zip(ys) {
-                assert_eq!(a.to_bits(), b.to_bits(), "SpMM column 0 vs SPMV");
+        for mode in [ParallelMode::Serial, ParallelMode::Colored { threads: 4 }] {
+            let mv = certify_spmm_determinism(&pm, mode, Some(8), 8, &seeds);
+            let single = certify_spmv_determinism_with(&pm, mode, Some(8), &seeds);
+            for (ym, ys) in mv.iter().zip(&single) {
+                let n = ys.len();
+                assert_eq!(ym.len(), n * 8);
+                for (a, b) in ym[..n].iter().zip(ys) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{mode:?}: SpMM column 0 vs SPMV");
+                }
             }
         }
     }

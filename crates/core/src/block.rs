@@ -24,6 +24,14 @@
 //!
 //! Blocks are also the parallel grain: coloring moves to block
 //! granularity and chunk-private chunks whole blocks.
+//!
+//! One loop serves every vector count. The DA it reads and writes carries
+//! `nvec` columns (`nvec = 1` is a plain vector), the panels widen to
+//! `nd × bw × nvec` with the columns of one (dof, lane) contiguous, and
+//! the kernel comes from the one `(bw, nvec)` dispatch table of
+//! [`hymv_la::dense`] — at `nvec = 1` exactly the single-vector kernels.
+//! Gather and scatter keep an `nvec = 1` arm so the single-vector hot
+//! path does no per-entry slice copies.
 
 use rayon::prelude::*;
 
@@ -31,10 +39,10 @@ use std::iter::StepBy;
 use std::ops::{Index, Range};
 use std::slice;
 
-use hymv_la::dense::{EmvBatchKernel, EmvBatchMvKernel, MAX_BATCH_WIDTH};
+use hymv_la::dense::{EmvBatchKernel, MAX_BATCH_WIDTH};
 use hymv_la::MAX_NVEC_WIDTH;
 
-use crate::da::{DistArray, DistMultivector};
+use crate::da::DistArray;
 use crate::hybrid::{on_rank_pool, RacyTarget};
 use crate::maps::HymvMaps;
 
@@ -251,81 +259,40 @@ impl BlockSet {
         &self.keb[k * sz..(k + 1) * sz]
     }
 
-    /// Gather block `k`'s input panel: `ue[i] = data[gidx[i]]`. Padded
-    /// lanes read slot 0 (a harmless in-bounds load; their matrix lanes
-    /// are zero).
+    /// Gather block `k`'s `nd × bw × nvec` input panel from DA data
+    /// holding `nvec` columns: `ue[t·nvec + c] = data[gidx[t]·nvec + c]`.
+    /// Padded lanes read slot 0 (a harmless in-bounds load; their matrix
+    /// lanes are zero).
     #[inline]
-    pub fn gather(&self, k: usize, data: &[f64], ue: &mut [f64]) {
-        let pl = self.panel_len();
-        let gi = &self.gidx[k * pl..(k + 1) * pl];
-        debug_assert_eq!(ue.len(), pl);
-        for (u, &r) in ue.iter_mut().zip(gi) {
-            *u = data[r as usize];
-        }
-    }
-
-    /// Scatter block `k`'s output panel through `add(dof_index, value)`.
-    /// Lane-bounded: padded lanes are skipped, so padding never perturbs
-    /// the result (not even the sign of a zero).
-    #[inline]
-    pub fn scatter_with(&self, k: usize, ve: &[f64], mut add: impl FnMut(usize, f64)) {
-        let (bw, pl) = (self.bw, self.panel_len());
-        let gi = &self.gidx[k * pl..(k + 1) * pl];
-        debug_assert_eq!(ve.len(), pl);
-        let len = self.lens[k] as usize;
-        if len == bw {
-            for (&r, &v) in gi.iter().zip(ve) {
-                add(r as usize, v);
-            }
-        } else {
-            for row in 0..self.nd {
-                for b in 0..len {
-                    add(gi[row * bw + b] as usize, ve[row * bw + b]);
-                }
-            }
-        }
-    }
-
-    /// Gather block `k`'s multivector input panel from a
-    /// [`DistMultivector`]: `nvec` contiguous column values per table
-    /// entry (`ue[t·nvec + c] = data[gidx[t]·nvec + c]`). Padded lanes
-    /// read slot 0, exactly like [`Self::gather`].
-    #[inline]
-    pub fn gather_mv(&self, k: usize, data: &[f64], nvec: usize, ue: &mut [f64]) {
+    pub fn gather(&self, k: usize, data: &[f64], nvec: usize, ue: &mut [f64]) {
         let pl = self.panel_len();
         let gi = &self.gidx[k * pl..(k + 1) * pl];
         debug_assert_eq!(ue.len(), pl * nvec);
-        for (u, &r) in ue.chunks_exact_mut(nvec).zip(gi) {
-            let src = r as usize * nvec;
-            u.copy_from_slice(&data[src..src + nvec]);
+        if nvec == 1 {
+            for (u, &r) in ue.iter_mut().zip(gi) {
+                *u = data[r as usize];
+            }
+        } else {
+            for (u, &r) in ue.chunks_exact_mut(nvec).zip(gi) {
+                let src = r as usize * nvec;
+                u.copy_from_slice(&data[src..src + nvec]);
+            }
         }
     }
 
-    /// Scatter block `k`'s multivector output panel through
-    /// `add(flat_index, value)` with `flat_index = dof·nvec + column`.
-    /// Lane-bounded like [`Self::scatter_with`], and visiting live lanes
-    /// in the same `(row, lane)` order so per-column accumulation order —
-    /// and therefore the bits — match the single-vector path.
+    /// Scatter block `k`'s output panel through `add(flat_index, value)`
+    /// with `flat_index = dof·nvec + column`. Lane-bounded: padded lanes
+    /// are skipped, so padding never perturbs the result (not even the
+    /// sign of a zero). Live lanes are visited in the same `(row, lane)`
+    /// order for every `nvec`, so each column accumulates — bit for bit —
+    /// as a single-vector scatter would.
     #[inline]
-    pub fn scatter_mv_with(
-        &self,
-        k: usize,
-        nvec: usize,
-        ve: &[f64],
-        mut add: impl FnMut(usize, f64),
-    ) {
+    pub fn scatter_with(&self, k: usize, nvec: usize, ve: &[f64], mut add: impl FnMut(usize, f64)) {
         let (bw, pl) = (self.bw, self.panel_len());
         let gi = &self.gidx[k * pl..(k + 1) * pl];
         debug_assert_eq!(ve.len(), pl * nvec);
         let len = self.lens[k] as usize;
-        if len == bw {
-            for (&r, v) in gi.iter().zip(ve.chunks_exact(nvec)) {
-                let base = r as usize * nvec;
-                for (c, &val) in v.iter().enumerate() {
-                    add(base + c, val);
-                }
-            }
-        } else {
+        if len < bw {
             for row in 0..self.nd {
                 for b in 0..len {
                     let t = row * bw + b;
@@ -333,6 +300,17 @@ impl BlockSet {
                     for c in 0..nvec {
                         add(base + c, ve[t * nvec + c]);
                     }
+                }
+            }
+        } else if nvec == 1 {
+            for (&r, &v) in gi.iter().zip(ve) {
+                add(r as usize, v);
+            }
+        } else {
+            for (&r, v) in gi.iter().zip(ve.chunks_exact(nvec)) {
+                let base = r as usize * nvec;
+                for (c, &val) in v.iter().enumerate() {
+                    add(base + c, val);
                 }
             }
         }
@@ -521,8 +499,10 @@ impl BlockPlan {
         self.set(dependent).try_color(self.n_data)
     }
 
-    /// Serial blocked EMV loop over one subset. `ue`/`ve` are `nd × bw`
-    /// panel scratch.
+    /// Serial blocked EMV loop over one subset, for `u.nvec` vectors at
+    /// once: each block's `Ke` slab is loaded once and reused for every
+    /// column of the panel. `kernel` must be the `(bw, u.nvec)` entry of
+    /// the dispatch table; `ue`/`ve` are `nd × bw × nvec` panel scratch.
     pub fn run_serial(
         &self,
         dependent: bool,
@@ -532,36 +512,32 @@ impl BlockPlan {
         ue: &mut [f64],
         ve: &mut [f64],
     ) {
-        let set = self.set(dependent);
-        for k in 0..set.n_blocks() {
-            set.gather(k, &u.data, ue);
-            kernel(set.keb(k), ue, ve, self.nd, self.bw);
-            set.scatter_with(k, ve, |i, val| v.data[i] += val);
+        if u.nvec == 1 {
+            self.serial::<true>(dependent, u, v, kernel, ue, ve);
+        } else {
+            self.serial::<false>(dependent, u, v, kernel, ue, ve);
         }
     }
 
-    /// Serial blocked SpMM loop over one subset: each block's `Ke` slab
-    /// is loaded once and reused for all `nvec` columns of the panel —
-    /// the bandwidth amortization the multivector engine exists for.
-    /// `ue`/`ve` are `nd × bw × nvec` panel scratch.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_serial_mv(
+    /// The body of [`Self::run_serial`]. `SINGLE` compiles it with the
+    /// literal vector count 1, so gather and scatter reduce to the plain
+    /// single-vector loops: with a runtime `nvec` the single-vector loop
+    /// measured ~20% slower (jittered Hex8 Poisson, 2-core AVX-512F Xeon).
+    fn serial<const SINGLE: bool>(
         &self,
         dependent: bool,
-        u: &DistMultivector,
-        v: &mut DistMultivector,
-        kernel: EmvBatchMvKernel,
-        nvec: usize,
+        u: &DistArray,
+        v: &mut DistArray,
+        kernel: EmvBatchKernel,
         ue: &mut [f64],
         ve: &mut [f64],
     ) {
-        debug_assert_eq!(u.nvec, nvec);
-        debug_assert_eq!(v.nvec, nvec);
-        let set = self.set(dependent);
+        let (set, nvec) = (self.set(dependent), if SINGLE { 1 } else { u.nvec });
+        debug_assert_eq!((u.nvec, v.nvec), (nvec, nvec));
         for k in 0..set.n_blocks() {
-            set.gather_mv(k, &u.data, nvec, ue);
+            set.gather(k, &u.data, nvec, ue);
             kernel(set.keb(k), ue, ve, self.nd, self.bw, nvec);
-            set.scatter_mv_with(k, nvec, ve, |i, val| v.data[i] += val);
+            set.scatter_with(k, nvec, ve, |i, val| v.data[i] += val);
         }
     }
 
@@ -570,8 +546,9 @@ impl BlockPlan {
     /// blocks share no dof, and scatters are lane-bounded).
     ///
     /// Allocation waiver: rayon's `for_each_init` allocates one pair of
-    /// `nd × bw` panels per worker — bounded per-thread scratch that
-    /// cannot be hoisted across the pool boundary, not per-element churn.
+    /// `nd × bw × nvec` panels per worker — bounded per-thread scratch
+    /// that cannot be hoisted across the pool boundary, not per-element
+    /// churn.
     // verify: allow(allocates)
     pub fn run_colored(
         &self,
@@ -581,18 +558,20 @@ impl BlockPlan {
         v: &mut DistArray,
         kernel: EmvBatchKernel,
     ) {
-        let set = self.set(dependent);
+        let (set, nvec) = (self.set(dependent), u.nvec);
+        debug_assert_eq!(v.nvec, nvec);
         let (nd, bw) = (self.nd, self.bw);
+        let pl = nd * bw * nvec;
         let target = RacyTarget::new(v.data.as_mut_ptr());
         on_rank_pool(|| {
             for class in classes {
                 class.par_iter().for_each_init(
-                    || (vec![0.0; nd * bw], vec![0.0; nd * bw]),
+                    || (vec![0.0; pl], vec![0.0; pl]),
                     |(ue, ve), &k| {
                         let k = k as usize;
-                        set.gather(k, &u.data, ue);
-                        kernel(set.keb(k), ue, ve, nd, bw);
-                        set.scatter_with(k, ve, |i, val| {
+                        set.gather(k, &u.data, nvec, ue);
+                        kernel(set.keb(k), ue, ve, nd, bw, nvec);
+                        set.scatter_with(k, nvec, ve, |i, val| {
                             // SAFETY: dof sets are disjoint across the
                             // blocks of one color class; classes run
                             // sequentially.
@@ -621,22 +600,23 @@ impl BlockPlan {
         v: &mut DistArray,
         kernel: EmvBatchKernel,
     ) {
-        let set = self.set(dependent);
+        let (set, nvec) = (self.set(dependent), u.nvec);
+        debug_assert_eq!(v.nvec, nvec);
         let (nd, bw) = (self.nd, self.bw);
-        let len = v.data.len();
+        let (len, pl) = (v.data.len(), nd * bw * nvec);
         let partials: Vec<Vec<f64>> = on_rank_pool(|| {
             let chunk = set.ids.len().div_ceil(rayon::current_num_threads()).max(1);
             set.ids
                 .par_chunks(chunk)
                 .map(|blocks| {
                     let mut buf = vec![0.0; len];
-                    let mut ue = vec![0.0; nd * bw];
-                    let mut ve = vec![0.0; nd * bw];
+                    let mut ue = vec![0.0; pl];
+                    let mut ve = vec![0.0; pl];
                     for &k in blocks {
                         let k = k as usize;
-                        set.gather(k, &u.data, &mut ue);
-                        kernel(set.keb(k), &ue, &mut ve, nd, bw);
-                        set.scatter_with(k, &ve, |i, val| buf[i] += val);
+                        set.gather(k, &u.data, nvec, &mut ue);
+                        kernel(set.keb(k), &ue, &mut ve, nd, bw, nvec);
+                        set.scatter_with(k, nvec, &ve, |i, val| buf[i] += val);
                     }
                     buf
                 })
@@ -803,7 +783,7 @@ mod tests {
     ) -> DistArray {
         let mut plan = BlockPlan::build(maps, u.ndof, bw);
         plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
-        let kernel = select_batch_kernel(bw);
+        let kernel = select_batch_kernel(bw, 1);
         let mut v = DistArray::new(maps, u.ndof);
         let pl = plan.nd() * bw;
         let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
@@ -913,7 +893,7 @@ mod tests {
             *v = i as f64;
         }
         for k in 0..set.n_blocks() {
-            set.gather(k, &u.data, &mut ue);
+            set.gather(k, &u.data, 1, &mut ue);
             for (b, &e) in set.elems(k).iter().enumerate() {
                 if e == u32::MAX {
                     continue;
@@ -939,7 +919,7 @@ mod tests {
         let bw = 8;
         let mut plan = BlockPlan::build(&maps, 1, bw);
         plan.attach_with(|e, mut lane| lane.copy_from(store.ke(e)));
-        let kernel = select_batch_kernel(bw);
+        let kernel = select_batch_kernel(bw, 1);
         let v_ref = blocked_result(&maps, &store, &u, bw);
 
         let classes = plan.color_blocks(false).expect("colorable");
@@ -1007,7 +987,7 @@ mod tests {
             assert_eq!(lane, store.ke(e), "element {e}");
         }
         assert_eq!(plan.matrices().as_slice(), store.as_slice());
-        let kernel = select_batch_kernel(bw);
+        let kernel = select_batch_kernel(bw, 1);
         let mut v = DistArray::new(&maps, 1);
         let pl = plan.nd() * bw;
         let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
@@ -1075,13 +1055,14 @@ mod tests {
         assert!(neg.contains("not a number"), "{neg}");
     }
 
-    /// The blocked SpMM loop equals the single-vector blocked loop run
-    /// column by column — including a ragged tail (27 elements, bw = 8)
-    /// and ndof > 1. The (bw = 8, nvec = 8) case pins bitwise equality:
-    /// batch and mv kernels dispatch to the same fmadd-chain class.
+    /// The blocked loop over an `nvec`-column DA equals the same loop run
+    /// column by column over single-vector DAs — including a ragged tail
+    /// (27 elements, bw = 8) and ndof > 1, and under the colored and
+    /// chunk-private drivers too. The (bw = 8, nvec = 8) cases pin bitwise
+    /// equality: batch and mv kernels dispatch to the same fmadd-chain
+    /// class.
     #[test]
     fn blocked_mv_matches_per_column() {
-        use hymv_la::dense::{select_batch_kernel, select_batch_mv_kernel};
         let mesh = StructuredHexMesh::unit(3, ElementType::Hex8).build();
         for (ndof, nvec, bitwise, seed) in [
             (1usize, 3usize, false, 5u64),
@@ -1098,8 +1079,8 @@ mod tests {
                 .map(|_| (0..n).map(|_| rng.gen_range(-1.0..1.0)).collect())
                 .collect();
 
-            // Per-column reference through the single-vector blocked loop.
-            let kernel = select_batch_kernel(bw);
+            // Per-column reference through single-vector DAs.
+            let kernel = select_batch_kernel(bw, 1);
             let pl = plan.nd() * bw;
             let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
             let mut refs: Vec<DistArray> = Vec::new();
@@ -1112,18 +1093,18 @@ mod tests {
                 refs.push(v);
             }
 
-            // One SpMM over the interleaved multivector DA.
-            let mv_kernel = select_batch_mv_kernel(nvec);
-            let mut u_mv = DistMultivector::new(&maps, ndof, nvec);
+            // One pass over the column-interleaved DA.
+            let mv_kernel = select_batch_kernel(bw, nvec);
+            let mut u_mv = DistArray::with_nvec(&maps, ndof, nvec);
             for (c, col) in cols.iter().enumerate() {
                 for (i, &x) in col.iter().enumerate() {
                     u_mv.data[i * nvec + c] = x;
                 }
             }
-            let mut v_mv = DistMultivector::new(&maps, ndof, nvec);
+            let mut v_mv = DistArray::with_nvec(&maps, ndof, nvec);
             let (mut uem, mut vem) = (vec![0.0; pl * nvec], vec![0.0; pl * nvec]);
-            plan.run_serial_mv(false, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem);
-            plan.run_serial_mv(true, &u_mv, &mut v_mv, mv_kernel, nvec, &mut uem, &mut vem);
+            plan.run_serial(false, &u_mv, &mut v_mv, mv_kernel, &mut uem, &mut vem);
+            plan.run_serial(true, &u_mv, &mut v_mv, mv_kernel, &mut uem, &mut vem);
 
             for c in 0..nvec {
                 for i in 0..n {
@@ -1138,6 +1119,24 @@ mod tests {
                         assert!((a - b).abs() < 1e-12, "col {c} dof {i}: {a} vs {b}");
                     }
                 }
+            }
+
+            // The parallel drivers run the same blocks for any nvec.
+            let classes = plan.color_blocks(false).expect("colorable");
+            let mut v_col = DistArray::with_nvec(&maps, ndof, nvec);
+            plan.run_colored(false, &classes, &u_mv, &mut v_col, mv_kernel);
+            let mut v_cp = DistArray::with_nvec(&maps, ndof, nvec);
+            plan.run_chunk_private(false, &u_mv, &mut v_cp, mv_kernel);
+            for (a, b) in v_mv
+                .data
+                .iter()
+                .zip(&v_col.data)
+                .chain(v_mv.data.iter().zip(&v_cp.data))
+            {
+                assert!(
+                    (a - b).abs() < 1e-12,
+                    "parallel driver nvec={nvec}: {a} vs {b}"
+                );
             }
         }
     }
@@ -1155,7 +1154,14 @@ mod tests {
         let u = DistArray::new(&maps, 1);
         let pl = plan.nd() * 8;
         let (mut ue, mut ve) = (vec![0.0; pl], vec![0.0; pl]);
-        plan.run_serial(true, &u, &mut v, select_batch_kernel(8), &mut ue, &mut ve);
+        plan.run_serial(
+            true,
+            &u,
+            &mut v,
+            select_batch_kernel(8, 1),
+            &mut ue,
+            &mut ve,
+        );
         assert!(v.data.iter().all(|&x| x == 0.0));
     }
 }

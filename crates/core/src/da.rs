@@ -5,24 +5,28 @@
 //! accumulation (`ue ← u(E2L[e])`, `v(E2L[e]) += ve`) are the two hot
 //! indexing operations of Algorithm 2.
 //!
-//! [`DistMultivector`] is the `nvec`-column generalization behind the
-//! SpMM path: the same `[pre | owned | post]` dof order, but every dof
-//! slot widens to `nvec` contiguous column values
-//! (`data[dof·nvec + c]`). That interleaving makes the multivector
-//! gather/scatter a contiguous `nvec`-copy per table entry and lets the
-//! ghost exchange ship all columns of a fragment in one envelope.
-
-use hymv_la::Multivector;
+//! One DA carries `nvec` vectors at once: every dof slot widens to `nvec`
+//! contiguous column values (`data[dof·nvec + c]`), so `nvec = 1` is the
+//! plain single-vector layout and an SpMM runs over the same type. That
+//! interleaving makes the block gather/scatter a contiguous `nvec`-copy
+//! per table entry and lets the ghost exchange ship all columns of a
+//! fragment in one envelope. The solver boundary is column-major
+//! ([`hymv_la::Multivector`]); [`DistArray::set_owned`] and
+//! [`DistArray::copy_owned_to`] transpose at the owned block, O(`n·nvec`)
+//! against the O(`nd²·bw`) elemental work they bracket, and are plain
+//! copies at `nvec = 1`.
 
 use crate::maps::HymvMaps;
 
-/// A partitioned vector in DA layout.
+/// A partitioned (multi)vector in DA layout.
 #[derive(Debug, Clone)]
 pub struct DistArray {
-    /// Flat values, `n_total_nodes × ndof`.
+    /// Flat values, `n_total_nodes × ndof × nvec`.
     pub data: Vec<f64>,
     /// Components per node.
     pub ndof: usize,
+    /// Vector columns per dof (`1` for a plain vector).
+    pub nvec: usize,
     /// Pre-ghost node count.
     n_pre: usize,
     /// Owned node count.
@@ -30,11 +34,18 @@ pub struct DistArray {
 }
 
 impl DistArray {
-    /// Zero-initialized DA matching `maps`.
+    /// Zero-initialized single-vector DA matching `maps`.
     pub fn new(maps: &HymvMaps, ndof: usize) -> Self {
+        Self::with_nvec(maps, ndof, 1)
+    }
+
+    /// Zero-initialized DA of `nvec` vectors matching `maps`.
+    pub fn with_nvec(maps: &HymvMaps, ndof: usize, nvec: usize) -> Self {
+        assert!(nvec > 0, "a DA must have at least one column");
         DistArray {
-            data: vec![0.0; maps.n_total() * ndof],
+            data: vec![0.0; maps.n_total() * ndof * nvec],
             ndof,
+            nvec,
             n_pre: maps.gpre.len(),
             n_owned: maps.n_owned(),
         }
@@ -45,19 +56,57 @@ impl DistArray {
         &self.data
     }
 
-    /// Owned-dof slice (the vector the solver sees).
+    /// The owned block (the vector the solver sees at `nvec = 1`;
+    /// column-interleaved otherwise).
     pub fn owned(&self) -> &[f64] {
-        &self.data[self.n_pre * self.ndof..(self.n_pre + self.n_owned) * self.ndof]
+        let s = self.ndof * self.nvec;
+        &self.data[self.n_pre * s..(self.n_pre + self.n_owned) * s]
     }
 
-    /// Mutable owned-dof slice.
+    /// Mutable owned block.
     pub fn owned_mut(&mut self) -> &mut [f64] {
-        &mut self.data[self.n_pre * self.ndof..(self.n_pre + self.n_owned) * self.ndof]
+        let s = self.ndof * self.nvec;
+        &mut self.data[self.n_pre * s..(self.n_pre + self.n_owned) * s]
     }
 
-    /// Copy an owned-dof vector in.
+    /// Owned dofs per column.
+    pub fn n_owned_dofs(&self) -> usize {
+        self.n_owned * self.ndof
+    }
+
+    /// Copy `nvec` column-major owned vectors in (`x[c·n + i]`, `n` the
+    /// owned dof count): a plain copy at `nvec = 1`, a transpose into the
+    /// column-interleaved owned block otherwise.
     pub fn set_owned(&mut self, x: &[f64]) {
-        self.owned_mut().copy_from_slice(x);
+        let (n, nvec) = (self.n_owned_dofs(), self.nvec);
+        assert_eq!(x.len(), n * nvec, "owned length mismatch");
+        let owned = self.owned_mut();
+        if nvec == 1 {
+            owned.copy_from_slice(x);
+            return;
+        }
+        for (c, col) in x.chunks_exact(n).enumerate() {
+            for (i, &v) in col.iter().enumerate() {
+                owned[i * nvec + c] = v;
+            }
+        }
+    }
+
+    /// Copy the owned block out as `nvec` column-major vectors: the
+    /// inverse of [`Self::set_owned`].
+    pub fn copy_owned_to(&self, y: &mut [f64]) {
+        let (n, nvec) = (self.n_owned_dofs(), self.nvec);
+        assert_eq!(y.len(), n * nvec, "owned length mismatch");
+        let owned = self.owned();
+        if nvec == 1 {
+            y.copy_from_slice(owned);
+            return;
+        }
+        for (c, col) in y.chunks_exact_mut(n).enumerate() {
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = owned[i * nvec + c];
+            }
+        }
     }
 
     /// Zero everything (start of an SPMV accumulation).
@@ -67,16 +116,18 @@ impl DistArray {
 
     /// Zero only the ghost regions (before a fresh scatter).
     pub fn zero_ghosts(&mut self) {
-        let ndof = self.ndof;
-        self.data[..self.n_pre * ndof].fill(0.0);
-        self.data[(self.n_pre + self.n_owned) * ndof..].fill(0.0);
+        let s = self.ndof * self.nvec;
+        self.data[..self.n_pre * s].fill(0.0);
+        self.data[(self.n_pre + self.n_owned) * s..].fill(0.0);
     }
 
     /// Extract the element vector `ue ← u(E2L[e])` into `ue`
-    /// (`npe × ndof`, node-major).
+    /// (`npe × ndof`, node-major). Single-vector DAs only: the per-element
+    /// reference path (assembly, the serial reference loop).
     #[inline]
     pub fn extract_elem(&self, local_nodes: &[u32], ue: &mut [f64]) {
         let ndof = self.ndof;
+        debug_assert_eq!(self.nvec, 1);
         debug_assert_eq!(ue.len(), local_nodes.len() * ndof);
         match ndof {
             // The two dof counts the paper evaluates, unrolled: the generic
@@ -103,10 +154,12 @@ impl DistArray {
         }
     }
 
-    /// Accumulate the element vector `v(E2L[e]) += ve`.
+    /// Accumulate the element vector `v(E2L[e]) += ve` (single-vector DAs
+    /// only, like [`Self::extract_elem`]).
     #[inline]
     pub fn accumulate_elem(&mut self, local_nodes: &[u32], ve: &[f64]) {
         let ndof = self.ndof;
+        debug_assert_eq!(self.nvec, 1);
         debug_assert_eq!(ve.len(), local_nodes.len() * ndof);
         match ndof {
             1 => {
@@ -144,83 +197,10 @@ impl DistArray {
     }
 }
 
-/// A partitioned multivector in DA layout: DA dof order, `nvec`
-/// contiguous column values per dof (`data[dof·nvec + c]`). The solver
-/// boundary is column-major ([`Multivector`]); the transposes happen once
-/// per SpMM at the owned block and are O(`n·nvec`) against the O(`nd²·bw`)
-/// elemental work they bracket.
-#[derive(Debug, Clone)]
-pub struct DistMultivector {
-    /// Flat values, `n_total_nodes × ndof × nvec`.
-    pub data: Vec<f64>,
-    /// Components per node.
-    pub ndof: usize,
-    /// Vector columns per dof.
-    pub nvec: usize,
-    /// Pre-ghost node count.
-    n_pre: usize,
-    /// Owned node count.
-    n_owned: usize,
-}
-
-impl DistMultivector {
-    /// Zero-initialized multivector DA matching `maps`.
-    pub fn new(maps: &HymvMaps, ndof: usize, nvec: usize) -> Self {
-        assert!(nvec > 0, "multivector DA must have at least one column");
-        DistMultivector {
-            data: vec![0.0; maps.n_total() * ndof * nvec],
-            ndof,
-            nvec,
-            n_pre: maps.gpre.len(),
-            n_owned: maps.n_owned(),
-        }
-    }
-
-    /// Owned dofs per column.
-    pub fn n_owned_dofs(&self) -> usize {
-        self.n_owned * self.ndof
-    }
-
-    /// Pre-ghost node count.
-    pub fn n_pre(&self) -> usize {
-        self.n_pre
-    }
-
-    /// Zero everything (start of an SpMM accumulation).
-    pub fn fill_zero(&mut self) {
-        self.data.fill(0.0);
-    }
-
-    /// Transpose a column-major owned multivector into the owned block.
-    pub fn set_owned(&mut self, x: &Multivector) {
-        assert_eq!(x.nrows(), self.n_owned_dofs(), "owned row mismatch");
-        assert_eq!(x.nvec(), self.nvec, "column-count mismatch");
-        let base = self.n_pre * self.ndof;
-        for c in 0..self.nvec {
-            let col = x.col(c);
-            for (i, &v) in col.iter().enumerate() {
-                self.data[(base + i) * self.nvec + c] = v;
-            }
-        }
-    }
-
-    /// Transpose the owned block out into a column-major multivector.
-    pub fn copy_owned_to(&self, y: &mut Multivector) {
-        assert_eq!(y.nrows(), self.n_owned_dofs(), "owned row mismatch");
-        assert_eq!(y.nvec(), self.nvec, "column-count mismatch");
-        let base = self.n_pre * self.ndof;
-        for c in 0..self.nvec {
-            let col = y.col_mut(c);
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = self.data[(base + i) * self.nvec + c];
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hymv_la::Multivector;
     use hymv_mesh::{ElementType, MeshPartition};
 
     fn two_ghost_maps() -> HymvMaps {
@@ -277,20 +257,20 @@ mod tests {
     fn multivector_da_owned_round_trip() {
         let maps = two_ghost_maps();
         // 2 owned nodes × 2 dofs × 3 columns.
-        let mut mda = DistMultivector::new(&maps, 2, 3);
+        let mut mda = DistArray::with_nvec(&maps, 2, 3);
         assert_eq!(mda.data.len(), 4 * 2 * 3);
         let x = Multivector::from_columns(&[
             vec![1.0, 2.0, 3.0, 4.0],
             vec![5.0, 6.0, 7.0, 8.0],
             vec![9.0, 10.0, 11.0, 12.0],
         ]);
-        mda.set_owned(&x);
+        mda.set_owned(x.as_slice());
         // Owned dof 0 (node 1 in DA order) holds its 3 column values
         // contiguously.
         let base = mda.n_pre() * 2 * 3;
         assert_eq!(&mda.data[base..base + 3], &[1.0, 5.0, 9.0]);
         let mut y = Multivector::new(4, 3);
-        mda.copy_owned_to(&mut y);
+        mda.copy_owned_to(y.as_mut_slice());
         assert_eq!(y, x);
         // Ghost regions untouched by set_owned.
         assert!(mda.data[..base].iter().all(|&v| v == 0.0));

@@ -57,7 +57,7 @@ pub use block::{
     BlockSet, KeLane, KeLaneMut, KeView, BATCH_ENV, DEFAULT_BATCH_WIDTH, DEFAULT_NVEC_WIDTH,
     NVEC_ENV,
 };
-pub use da::{DistArray, DistMultivector};
+pub use da::DistArray;
 pub use dirichlet_op::DirichletOp;
 pub use exchange::GhostExchange;
 pub use hybrid::ParallelMode;

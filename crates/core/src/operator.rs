@@ -2,15 +2,13 @@
 
 use hymv_comm::Comm;
 use hymv_fem::kernel::{ElementKernel, KernelScratch};
-use hymv_la::dense::{
-    emv_batch_flops, select_batch_kernel, select_batch_mv_kernel, EmvBatchKernel, EmvBatchMvKernel,
-};
+use hymv_la::dense::{emv_batch_flops, select_batch_kernel, EmvBatchKernel};
 use hymv_la::{LinOp, MultiLinOp, Multivector};
 use hymv_mesh::MeshPartition;
 use hymv_trace::Phase;
 
 use crate::block::{batch_width_from_env, check_batch_width, BlockPlan, KeLaneMut, KeView};
-use crate::da::{DistArray, DistMultivector};
+use crate::da::DistArray;
 use crate::exchange::GhostExchange;
 use crate::hybrid::ParallelMode;
 use crate::maps::HymvMaps;
@@ -45,8 +43,6 @@ pub struct HymvOperator {
     maps: HymvMaps,
     exchange: GhostExchange,
     ndof: usize,
-    u: DistArray,
-    v: DistArray,
     mode: ParallelMode,
     /// Block color classes for the independent / dependent sets (built
     /// lazily when a colored mode is selected).
@@ -54,28 +50,44 @@ pub struct HymvOperator {
     /// The element-block plan. Its batch-interleaved slabs are the only
     /// copy of the element matrices; `B = 1` is a width-1 plan.
     plan: BlockPlan,
-    /// Batched kernel resolved once per batch width (not per element).
-    batch_kernel: EmvBatchKernel,
-    /// Serial scratch (`nd × bw` panels).
-    ue: Vec<f64>,
-    ve: Vec<f64>,
     /// `nd²` scratch an updated element matrix is computed into before it
     /// is interleaved into its lane.
     ke: Vec<f64>,
-    /// Multivector workspace, built lazily on the first `matvec_mv` and
-    /// rebuilt when the requested `nvec` changes.
-    mv_ws: Option<MvWorkspace>,
+    /// The apply workspace for the current vector count, rebuilt when an
+    /// apply asks for a different `nvec` (or the batch width changes).
+    ws: MvWorkspace,
+    /// The single-vector workspace, set aside while a wider one is in
+    /// use, so single-vector applies keep the buffers laid out at setup:
+    /// on buffers reallocated after an SpMM they measured up to ~25% more CPU
+    /// (serving workload, jittered Hex8 Poisson, 2-core Xeon).
+    ws1: Option<MvWorkspace>,
 }
 
-/// Cached state of the SpMM path for one multivector width.
+/// Cached state of an apply for one vector count (`nvec = 1` is the
+/// single-vector SPMV).
 struct MvWorkspace {
     nvec: usize,
-    kernel: EmvBatchMvKernel,
-    u: DistMultivector,
-    v: DistMultivector,
+    /// The `(bw, nvec)` kernel, resolved once (not per element).
+    kernel: EmvBatchKernel,
+    u: DistArray,
+    v: DistArray,
     /// `nd × bw × nvec` panel scratch.
     ue: Vec<f64>,
     ve: Vec<f64>,
+}
+
+impl MvWorkspace {
+    fn new(maps: &HymvMaps, plan: &BlockPlan, ndof: usize, nvec: usize) -> Self {
+        let pl = plan.nd() * plan.batch_width() * nvec;
+        MvWorkspace {
+            nvec,
+            kernel: select_batch_kernel(plan.batch_width(), nvec),
+            u: DistArray::with_nvec(maps, ndof, nvec),
+            v: DistArray::with_nvec(maps, ndof, nvec),
+            ue: vec![0.0; pl],
+            ve: vec![0.0; pl],
+        }
+    }
 }
 
 impl HymvOperator {
@@ -126,22 +138,17 @@ impl HymvOperator {
             });
         });
 
-        let u = DistArray::new(&maps, ndof);
-        let v = DistArray::new(&maps, ndof);
+        let ws = MvWorkspace::new(&maps, &plan, ndof, 1);
         let op = HymvOperator {
             maps,
             exchange,
             ndof,
-            u,
-            v,
             mode: ParallelMode::Serial,
             colors: None,
             plan,
-            batch_kernel: select_batch_kernel(bw),
-            ue: vec![0.0; nd * bw],
-            ve: vec![0.0; nd * bw],
             ke,
-            mv_ws: None,
+            ws,
+            ws1: None,
         };
         setup_span.close(comm.vt());
         (op, t)
@@ -176,12 +183,9 @@ impl HymvOperator {
         let old = &self.plan;
         plan.attach_with(|e, mut lane| lane.copy_from(old.ke(e)));
         self.plan = plan;
-        self.batch_kernel = select_batch_kernel(bw);
-        let nd = self.plan.nd();
-        self.ue = vec![0.0; nd * bw];
-        self.ve = vec![0.0; nd * bw];
-        // Panel scratch was sized for the old width.
-        self.mv_ws = None;
+        // Kernel and panel scratch were chosen for the old width.
+        self.ws = MvWorkspace::new(&self.maps, &self.plan, self.ndof, self.ws.nvec);
+        self.ws1 = None;
         // Colors were built at the old granularity; rebuild (or fall
         // back) for the new one.
         self.colors = None;
@@ -290,13 +294,14 @@ impl HymvOperator {
         (self.maps, self.exchange, self.plan, self.ndof)
     }
 
-    /// One elemental EMV loop over a subset, honoring the parallel mode.
+    /// One elemental EMV loop over a subset, for the workspace's vector
+    /// count, honoring the parallel mode.
     fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        let (plan, kernel) = (&self.plan, self.batch_kernel);
-        let (u, v) = (&self.u, &mut self.v);
+        let (plan, ws) = (&self.plan, &mut self.ws);
+        let (u, v, kernel) = (&ws.u, &mut ws.v, ws.kernel);
         match self.mode {
             ParallelMode::Serial => {
-                let (ue, ve) = (&mut self.ue, &mut self.ve);
+                let (ue, ve) = (&mut ws.ue, &mut ws.ve);
                 comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
             }
             ParallelMode::Colored { threads } => {
@@ -315,127 +320,98 @@ impl HymvOperator {
         }
     }
 
-    /// Algorithm 2: the HYMV SPMV.
+    /// Algorithm 2, the HYMV SPMV, over `nvec` column-major vectors
+    /// (`x[c·n + i]`, `n` the owned dof count): `y = K x`. The one body
+    /// behind [`Self::matvec`], [`Self::matvec_blocking`] and
+    /// [`Self::matvec_mv`].
     ///
-    /// When the reliable channel has degraded (persistent timeouts under
-    /// an active fault plan), the overlapped schedule gives way to the
-    /// blocking exchange: with a flaky link, compute/communication overlap
-    /// only widens the window in which retransmissions interleave with
-    /// useful work, so the conservative schedule is the robust one.
-    pub fn matvec(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        if comm.degraded() {
-            return self.matvec_blocking(comm, x, y);
+    /// With `overlap` the scatter is in flight while the independent
+    /// elements compute; without it the exchange completes first. A
+    /// degraded reliable channel (persistent timeouts under an active
+    /// fault plan) forces the blocking schedule: with a flaky link,
+    /// overlap only widens the window in which retransmissions interleave
+    /// with useful work.
+    ///
+    /// Every `Ke` slab is loaded once per block and reused across all
+    /// `nvec` columns, and the ghost exchange ships every column of a
+    /// fragment in one envelope per (neighbour, tag).
+    fn apply_cols(
+        &mut self,
+        comm: &mut Comm,
+        x: &[f64],
+        nvec: usize,
+        y: &mut [f64],
+        overlap: bool,
+    ) {
+        let n = self.n_owned();
+        assert_eq!(x.len(), n * nvec, "input length mismatch");
+        assert_eq!(y.len(), n * nvec, "output length mismatch");
+        if nvec > 1 && self.batch_width() == 1 {
+            // A width-1 plan runs the per-element kernels, whose unfused
+            // tail rows no multivector kernel reproduces bit for bit: keep
+            // every column equal to its single-vector apply.
+            for (xc, yc) in x.chunks_exact(n).zip(y.chunks_exact_mut(n)) {
+                self.apply_cols(comm, xc, 1, yc, overlap);
+            }
+            return;
         }
+        let overlap = overlap && !comm.degraded();
+        if self.ws.nvec != nvec {
+            let spare = if nvec == 1 { self.ws1.take() } else { None };
+            let next =
+                spare.unwrap_or_else(|| MvWorkspace::new(&self.maps, &self.plan, self.ndof, nvec));
+            let prev = std::mem::replace(&mut self.ws, next);
+            if prev.nvec == 1 {
+                self.ws1 = Some(prev);
+            }
+        }
+        let flops = self.flops_per_apply() * nvec as u64;
+
         // v ← 0; u ← x with fresh ghosts.
-        self.v.fill_zero();
-        self.u.set_owned(x);
+        self.ws.v.fill_zero();
+        let u = &mut self.ws.u;
+        comm.work(|| u.set_owned(x));
 
-        // local_node_scatter_begin(u)
-        self.exchange.scatter_begin(comm, &self.u);
-
-        // Independent elements overlap the scatter.
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
+        // local_node_scatter_begin(u): independent elements overlap it.
+        self.exchange.scatter_begin(comm, &self.ws.u);
+        if overlap {
+            comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
+        }
 
         // local_node_scatter_end(u); then dependent elements.
-        self.exchange.scatter_end(comm, &mut self.u);
+        self.exchange.scatter_end(comm, &mut self.ws.u);
+        if !overlap {
+            comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
+        }
         comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
 
         // ghost_node_gather: accumulate ghost contributions to owners.
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
+        self.exchange.gather_begin(comm, &self.ws.v);
+        self.exchange.gather_end(comm, &mut self.ws.v);
 
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
+        hymv_trace::counter_add("hymv_emv_flops_total", &[], flops);
+        let v = &self.ws.v;
+        comm.work(|| v.copy_owned_to(y));
         comm.note_exchange_outcome();
+    }
+
+    /// Algorithm 2: the HYMV SPMV (the `nvec = 1` apply).
+    pub fn matvec(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
+        self.apply_cols(comm, x, 1, y, true);
     }
 
     /// A deliberately non-overlapped SPMV (blocking exchange up front, then
     /// all elements) — the ablation counterpart of Algorithm 2.
     pub fn matvec_blocking(&mut self, comm: &mut Comm, x: &[f64], y: &mut [f64]) {
-        self.v.fill_zero();
-        self.u.set_owned(x);
-        self.exchange.scatter_begin(comm, &self.u);
-        self.exchange.scatter_end(comm, &mut self.u);
-        comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
-        self.exchange.gather_begin(comm, &self.v);
-        self.exchange.gather_end(comm, &mut self.v);
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], self.flops_per_apply());
-        y.copy_from_slice(self.v.owned());
-        comm.note_exchange_outcome();
+        self.apply_cols(comm, x, 1, y, false);
     }
 
     /// Algorithm 2 over a whole multivector: the SpMM `V = K·U`.
-    ///
-    /// Same schedule as [`Self::matvec`] — overlapped scatter, the
-    /// independent/dependent split, gather-accumulate — but every `Ke`
-    /// slab is loaded once per block and reused across all `nvec`
-    /// columns, and the ghost exchange coalesces every column of a
-    /// fragment into one envelope per (neighbor, tag). Falls back to
-    /// `nvec` sequential [`Self::matvec`] calls at `B = 1` and on a
-    /// degraded channel, where the conservative schedule is the robust
-    /// one.
     pub fn matvec_mv(&mut self, comm: &mut Comm, x: &Multivector, y: &mut Multivector) {
         assert_eq!(x.nrows(), self.n_owned(), "input row mismatch");
         assert_eq!(y.nrows(), self.n_owned(), "output row mismatch");
         assert_eq!(x.nvec(), y.nvec(), "column-count mismatch");
-        let nvec = x.nvec();
-        if self.batch_width() == 1 || comm.degraded() {
-            let mut yc = vec![0.0; self.n_owned()];
-            for c in 0..nvec {
-                self.matvec(comm, x.col(c), &mut yc);
-                y.col_mut(c).copy_from_slice(&yc);
-            }
-            return;
-        }
-        let flops = self.flops_per_apply() * nvec as u64;
-        let plan = &self.plan;
-        if self.mv_ws.as_ref().is_none_or(|ws| ws.nvec != nvec) {
-            let pl = plan.nd() * plan.batch_width() * nvec;
-            self.mv_ws = Some(MvWorkspace {
-                nvec,
-                kernel: select_batch_mv_kernel(nvec),
-                u: DistMultivector::new(&self.maps, self.ndof, nvec),
-                v: DistMultivector::new(&self.maps, self.ndof, nvec),
-                ue: vec![0.0; pl],
-                ve: vec![0.0; pl],
-            });
-        }
-        let ws = self.mv_ws.as_mut().expect("built above");
-
-        // V ← 0; U ← X with fresh ghosts.
-        ws.v.fill_zero();
-        comm.work(|| ws.u.set_owned(x));
-
-        // local_node_scatter_begin(U): one coalesced envelope/neighbour.
-        self.exchange.scatter_mv_begin(comm, &ws.u);
-
-        // Independent elements overlap the scatter.
-        comm.traced(Phase::IndepEmv, |comm| {
-            comm.work(|| {
-                plan.run_serial_mv(
-                    false, &ws.u, &mut ws.v, ws.kernel, nvec, &mut ws.ue, &mut ws.ve,
-                )
-            })
-        });
-
-        // local_node_scatter_end(U); then dependent elements.
-        self.exchange.scatter_mv_end(comm, &mut ws.u);
-        comm.traced(Phase::DepEmv, |comm| {
-            comm.work(|| {
-                plan.run_serial_mv(
-                    true, &ws.u, &mut ws.v, ws.kernel, nvec, &mut ws.ue, &mut ws.ve,
-                )
-            })
-        });
-
-        // ghost_node_gather: every column accumulated in one envelope.
-        self.exchange.gather_mv_begin(comm, &ws.v);
-        self.exchange.gather_mv_end(comm, &mut ws.v);
-
-        hymv_trace::counter_add("hymv_emv_flops_total", &[], flops);
-        comm.work(|| ws.v.copy_owned_to(y));
-        comm.note_exchange_outcome();
+        self.apply_cols(comm, x.as_slice(), x.nvec(), y.as_mut_slice(), true);
     }
 }
 
@@ -471,14 +447,15 @@ impl LinOp for HymvOperator {
     /// so every rank rebuilds — survivors get a bit-identical plan, the
     /// resurrected ranks get theirs back from the unchanged maps. The
     /// block plan's slabs *are* the element matrices, so a resurrected
-    /// rank keeps them and drops only its derived state (SpMM workspace,
-    /// colors).
+    /// rank keeps them and rebuilds only its derived state (apply
+    /// workspace, colors).
     fn repair(&mut self, comm: &mut Comm, dead: &[usize]) {
         let raw = self.exchange.raw_transport();
         self.exchange = GhostExchange::build(comm, &self.maps);
         self.exchange.set_raw_transport(raw);
         if dead.contains(&comm.rank()) {
-            self.mv_ws = None;
+            self.ws = MvWorkspace::new(&self.maps, &self.plan, self.ndof, self.ws.nvec);
+            self.ws1 = None;
             self.colors = None;
             self.set_parallel_mode(self.mode);
         }
@@ -769,10 +746,11 @@ mod tests {
     /// The SpMM path is bitwise identical to `nvec` sequential SPMVs in
     /// every kernel-class-matched configuration: SIMD batch widths with
     /// SIMD column counts (bw = 8 against nvec ∈ {4, 8, 16}), the
-    /// portable pair (bw = 5, nvec = 5), and the width-1 fallback
-    /// (bw = 1, which routes through `matvec` column by column). Runs on
-    /// 2 ranks so the coalesced exchange is exercised, for scalar
-    /// (Poisson) and vector (elasticity, ndof = 3) problems.
+    /// single-column multivector (bw = 8, nvec = 1: the same apply as
+    /// `matvec`), the portable pair (bw = 5, nvec = 5), and width-1 plans
+    /// (bw = 1, which the apply runs column by column). Runs on 2 ranks so
+    /// the coalesced exchange is exercised, for scalar (Poisson) and
+    /// vector (elasticity, ndof = 3) problems.
     #[test]
     fn matvec_mv_matches_sequential_columns_bitwise() {
         use hymv_fem::ElasticityKernel;
@@ -788,7 +766,11 @@ mod tests {
             for kernel in &kernels {
                 let (mut op, _) = HymvOperator::setup(comm, part, kernel.as_ref());
                 let n = op.n_owned();
-                for (bw, nvecs) in [(8usize, &[4usize, 8, 16][..]), (5, &[5][..]), (1, &[3][..])] {
+                for (bw, nvecs) in [
+                    (8usize, &[1usize, 4, 8, 16][..]),
+                    (5, &[5][..]),
+                    (1, &[3][..]),
+                ] {
                     op.set_batch_width(bw);
                     for &nvec in nvecs {
                         let cols: Vec<Vec<f64>> = (0..nvec)

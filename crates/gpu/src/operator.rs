@@ -40,7 +40,8 @@ pub enum GpuScheme {
     OverlapGpu,
 }
 
-/// Invoke the selected batched EMV kernel on one block's slabs.
+/// Invoke the selected batched EMV kernel on one block's slabs (one
+/// vector: `nvec = 1`).
 ///
 /// The only values ever stored in `batch_kernel` are the `emv_batch_*`
 /// kernels from `hymv-la` — pure computation whose lane accesses the
@@ -56,7 +57,7 @@ fn dispatch_batch_kernel(
     nd: usize,
     bw: usize,
 ) {
-    kernel(keb, ue, ve, nd, bw);
+    kernel(keb, ue, ve, nd, bw, 1);
 }
 
 /// HYMV's GPU SPMV operator.
@@ -120,7 +121,7 @@ impl HymvGpuOperator {
         timings.local_copy_s += upload_s;
 
         let n_batch = plan.n_blocks_total() * plan.set(false).panel_len();
-        let batch_kernel = select_batch_kernel(plan.batch_width());
+        let batch_kernel = select_batch_kernel(plan.batch_width(), 1);
         let u = DistArray::new(&maps, ndof);
         let v = DistArray::new(&maps, ndof);
         let op = HymvGpuOperator {
@@ -198,7 +199,7 @@ impl HymvGpuOperator {
         comm.work_smp(self.host_threads, || {
             for k in 0..set.n_blocks() {
                 let off = base + k * pl;
-                set.gather(k, &u.data, &mut bue[off..off + pl]);
+                set.gather(k, &u.data, 1, &mut bue[off..off + pl]);
             }
         });
     }
@@ -212,7 +213,7 @@ impl HymvGpuOperator {
         comm.work_smp(self.host_threads, || {
             for k in 0..set.n_blocks() {
                 let off = base + k * pl;
-                set.scatter_with(k, &bve[off..off + pl], |i, val| v.data[i] += val);
+                set.scatter_with(k, 1, &bve[off..off + pl], |i, val| v.data[i] += val);
             }
         });
     }

@@ -210,9 +210,10 @@ impl ElementMatrixStore {
 /// The per-element EMV kernel signature (`ke`, `ue`, `ve`).
 pub type EmvKernel = fn(&[f64], &[f64], &mut [f64]);
 
-/// The batched EMV kernel signature (`keb`, `ue`, `ve`, `nd`, `bw`):
-/// batch-interleaved matrices against `nd × bw` panels.
-pub type EmvBatchKernel = fn(&[f64], &[f64], &mut [f64], usize, usize);
+/// The one batched EMV kernel signature (`keb`, `ue`, `ve`, `nd`, `bw`,
+/// `nvec`): batch-interleaved matrices against `nd × bw × nvec` panels.
+/// `nvec = 1` is the single-vector SPMV.
+pub type EmvBatchKernel = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
 
 /// `ve = Ke · ue` for a column-major `nd × nd` matrix; `nd` inferred from
 /// `ue.len()`. Runtime-dispatched to the best available SIMD variant.
@@ -351,62 +352,89 @@ unsafe fn emv_avx512_impl(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 // the inner loop is unit-stride over `bw` lanes, so SIMD sees full vectors
 // regardless of nd — unlike the per-element axpy, whose vector length is
 // capped by nd and pays a remainder loop per column.
+//
+// These are the `nvec = 1` entries of the one `(bw, nvec)` dispatch table;
+// every kernel takes the full `(keb, ue, ve, nd, bw, nvec)` signature.
 // ---------------------------------------------------------------------------
 
 /// Maximum supported batch width (bounds kernel register/stack usage).
 pub const MAX_BATCH_WIDTH: usize = 64;
 
-/// `Ve = Ke_b · Ue` over the batch-interleaved layout above.
+/// `Ve = Ke_b · Ue` over the panel layouts above and below.
 ///
 /// Convenience wrapper for tests: dispatches on every call. Hot loops
-/// should resolve [`select_batch_kernel`] once per SPMV.
+/// should resolve [`select_batch_kernel`] once per apply.
 #[inline]
-pub fn emv_batch(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    select_batch_kernel(bw)(keb, ue, ve, nd, bw);
+pub fn emv_batch(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    select_batch_kernel(bw, nvec)(keb, ue, ve, nd, bw, nvec);
 }
 
-/// Pick the best batched-EMV variant for this CPU and batch width. The
-/// SIMD variants require `bw` to be a multiple of the vector width (and
-/// small enough to keep per-row accumulators in registers); `bw = 1` runs
-/// on the per-element kernels through the width-1 adapters; other widths
-/// fall back to the portable kernel, which autovectorizes well.
-pub fn select_batch_kernel(bw: usize) -> EmvBatchKernel {
+/// Pick the best batched-EMV variant for this CPU, batch width and vector
+/// count.
+///
+/// * `nvec = 1`: the single-vector kernels, which vectorize across the
+///   batch. `bw = 1` runs the per-element kernels through the width-1
+///   adapters; the SIMD variants need `bw` a multiple of the vector width
+///   (and small enough to keep per-row accumulators in registers); other
+///   widths take the portable kernel, which autovectorizes well.
+/// * `nvec > 1`: the multivector kernels, which vectorize across the
+///   vector columns, so the SIMD variants need `nvec` a multiple of the
+///   vector width; other counts take the portable kernel.
+///
+/// # Panics
+/// If `bw` is outside `1..=MAX_BATCH_WIDTH` or `nvec` outside
+/// `1..=MAX_NVEC_WIDTH`.
+pub fn select_batch_kernel(bw: usize, nvec: usize) -> EmvBatchKernel {
     assert!(
         bw >= 1 && bw <= MAX_BATCH_WIDTH,
         "batch width {bw} outside 1..={MAX_BATCH_WIDTH}"
     );
-    batch_dispatch(bw).0
+    assert!(
+        nvec >= 1 && nvec <= MAX_NVEC_WIDTH,
+        "multivector width {nvec} outside 1..={MAX_NVEC_WIDTH}"
+    );
+    batch_dispatch(bw, nvec).0
 }
 
 /// Name of the dispatched batched-kernel variant (for experiment logs).
-pub fn emv_batch_kernel_name(bw: usize) -> &'static str {
-    batch_dispatch(bw).1
+pub fn emv_batch_kernel_name(bw: usize, nvec: usize) -> &'static str {
+    batch_dispatch(bw, nvec).1
 }
 
-/// The one dispatch table behind [`select_batch_kernel`] and
-/// [`emv_batch_kernel_name`].
-fn batch_dispatch(bw: usize) -> (EmvBatchKernel, &'static str) {
+/// The one dispatch table `(bw, nvec) → (kernel, name)` behind
+/// [`select_batch_kernel`] and [`emv_batch_kernel_name`].
+fn batch_dispatch(bw: usize, nvec: usize) -> (EmvBatchKernel, &'static str) {
     #[cfg(target_arch = "x86_64")]
     {
         let avx512 = is_x86_feature_detected!("avx512f");
         let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");
-        if bw == 1 && avx512 {
-            return (emv_batch1_avx512, "batch1-avx512f");
-        }
-        if bw == 1 && avx2 {
-            return (emv_batch1_avx2, "batch1-avx2+fma");
-        }
-        if bw % 8 == 0 && bw <= 64 && avx512 {
-            return (emv_batch_avx512, "batch-avx512f");
-        }
-        if bw % 4 == 0 && bw <= 32 && avx2 {
-            return (emv_batch_avx2, "batch-avx2+fma");
+        if nvec == 1 {
+            if bw == 1 && avx512 {
+                return (emv_batch1_avx512, "batch1-avx512f");
+            }
+            if bw == 1 && avx2 {
+                return (emv_batch1_avx2, "batch1-avx2+fma");
+            }
+            if bw % 8 == 0 && bw <= 64 && avx512 {
+                return (emv_batch_avx512, "batch-avx512f");
+            }
+            if bw % 4 == 0 && bw <= 32 && avx2 {
+                return (emv_batch_avx2, "batch-avx2+fma");
+            }
+        } else {
+            if nvec % 8 == 0 && nvec <= MAX_NVEC_WIDTH && avx512 {
+                return (emv_batch_mv_avx512, "mv-avx512f");
+            }
+            if nvec % 4 == 0 && nvec <= MAX_NVEC_WIDTH && avx2 {
+                return (emv_batch_mv_avx2, "mv-avx2+fma");
+            }
         }
     }
-    if bw == 1 {
-        return (emv_batch1_portable, "batch1-portable");
+    match (bw, nvec) {
+        (1, 1) => (emv_batch1_portable, "batch1-portable"),
+        (_, 1) => (emv_batch_portable, "batch-portable"),
+        _ => (emv_batch_mv_portable, "mv-portable"),
     }
-    (emv_batch_portable, "batch-portable")
 }
 
 // Width-1 adapters. A `bw = 1` slab (`keb[idx·1 + 0] = ke[idx]`) is
@@ -417,22 +445,22 @@ fn batch_dispatch(bw: usize) -> (EmvBatchKernel, &'static str) {
 // proved precondition.
 
 // verify: kernel-entry
-fn emv_batch1_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    debug_assert!(bw == 1 && ue.len() == nd);
+fn emv_batch1_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    debug_assert!(bw == 1 && nvec == 1 && ue.len() == nd);
     emv_portable(keb, ue, ve);
 }
 
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
-fn emv_batch1_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    debug_assert!(bw == 1 && ue.len() == nd);
+fn emv_batch1_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    debug_assert!(bw == 1 && nvec == 1 && ue.len() == nd);
     emv_avx2(keb, ue, ve);
 }
 
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
-fn emv_batch1_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
-    debug_assert!(bw == 1 && ue.len() == nd);
+fn emv_batch1_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    debug_assert!(bw == 1 && nvec == 1 && ue.len() == nd);
     emv_avx512(keb, ue, ve);
 }
 
@@ -440,7 +468,15 @@ fn emv_batch1_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usi
 /// streamed linearly exactly once; the `ve` panel (nd·bw doubles) stays
 /// cache-resident across columns. The lane loop autovectorizes.
 // verify: kernel-entry
-pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+pub fn emv_batch_portable(
+    keb: &[f64],
+    ue: &[f64],
+    ve: &mut [f64],
+    nd: usize,
+    bw: usize,
+    nvec: usize,
+) {
+    debug_assert_eq!(nvec, 1);
     debug_assert_eq!(keb.len(), nd * nd * bw);
     debug_assert_eq!(ue.len(), nd * bw);
     debug_assert_eq!(ve.len(), nd * bw);
@@ -461,7 +497,8 @@ pub fn emv_batch_portable(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
-fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+fn emv_batch_avx2(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    debug_assert_eq!(nvec, 1);
     // SAFETY: dispatch guarantees avx2+fma are available and bw % 4 == 0,
     // bw <= 32.
     unsafe { emv_batch_avx2_impl(keb, ue, ve, nd, bw) }
@@ -501,7 +538,8 @@ unsafe fn emv_batch_avx2_impl(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize
 #[cfg(target_arch = "x86_64")]
 // verify: kernel-entry
 #[allow(unsafe_code)] // SIMD dispatch wrapper; SAFETY comment at the call
-fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize) {
+fn emv_batch_avx512(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
+    debug_assert_eq!(nvec, 1);
     // SAFETY: dispatch guarantees avx512f is available and bw % 8 == 0,
     // bw <= 64.
     unsafe { emv_batch_avx512_impl(keb, ue, ve, nd, bw) }
@@ -555,10 +593,13 @@ pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize
 // sides at once.
 //
 // Layouts (all contiguous, column-minor panels):
-//   keb[(j*nd + i)*bw + b]      — the same batch-interleaved slab as
-//                                 `emv_batch` (no re-interleave for SpMM),
+//   keb[(j*nd + i)*bw + b]      — the same batch-interleaved slab as the
+//                                 single-vector kernels (no re-interleave),
 //   ue [(j*bw + b)*nvec + c]    — input panel, nd × bw × nvec,
 //   ve [(i*bw + b)*nvec + c]    — output panel, nd × bw × nvec.
+//
+// At `nvec = 1` these panels are byte for byte the single-vector panels,
+// and the dispatch table hands that case to the single-vector kernels.
 //
 // Vectorization runs **across the vector columns `c`**: the `nvec` values
 // of one (dof, lane) pair are contiguous, so the inner loop is unit-stride
@@ -571,59 +612,6 @@ pub fn interleave_ke(ke: &[f64], keb: &mut [f64], nd: usize, bw: usize, b: usize
 /// Maximum supported multivector width (bounds kernel register usage:
 /// `nvec/4 ≤ 8` AVX2 accumulators per (row, lane) pair).
 pub const MAX_NVEC_WIDTH: usize = 32;
-
-/// The multivector batched EMV kernel signature
-/// (`keb`, `ue`, `ve`, `nd`, `bw`, `nvec`).
-pub type EmvBatchMvKernel = fn(&[f64], &[f64], &mut [f64], usize, usize, usize);
-
-/// `Ve = Ke_b · Ue` over the multivector panel layout above.
-///
-/// Convenience wrapper for tests: dispatches on every call. Hot loops
-/// should resolve [`select_batch_mv_kernel`] once per SpMM.
-#[inline]
-pub fn emv_batch_mv(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: usize, bw: usize, nvec: usize) {
-    select_batch_mv_kernel(nvec)(keb, ue, ve, nd, bw, nvec);
-}
-
-/// Pick the best multivector batched-EMV variant for this CPU and
-/// multivector width. The SIMD variants vectorize across the `nvec`
-/// column dimension, so they require `nvec` to be a multiple of the
-/// vector width; other widths fall back to the portable kernel.
-pub fn select_batch_mv_kernel(nvec: usize) -> EmvBatchMvKernel {
-    assert!(
-        nvec >= 1 && nvec <= MAX_NVEC_WIDTH,
-        "multivector width {nvec} outside 1..={MAX_NVEC_WIDTH}"
-    );
-    #[cfg(target_arch = "x86_64")]
-    {
-        if nvec % 8 == 0 && is_x86_feature_detected!("avx512f") {
-            return emv_batch_mv_avx512;
-        }
-        if nvec % 4 == 0 && is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
-            return emv_batch_mv_avx2;
-        }
-    }
-    emv_batch_mv_portable
-}
-
-/// Name of the dispatched multivector-kernel variant (for experiment logs).
-pub fn emv_batch_mv_kernel_name(nvec: usize) -> &'static str {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if nvec % 8 == 0 && nvec <= MAX_NVEC_WIDTH && is_x86_feature_detected!("avx512f") {
-            return "mv-avx512f";
-        }
-        if nvec % 4 == 0
-            && nvec <= MAX_NVEC_WIDTH
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma")
-        {
-            return "mv-avx2+fma";
-        }
-    }
-    let _ = nvec;
-    "mv-portable"
-}
 
 /// Portable multivector kernel: column-axpy order (`j` outer) so `keb` is
 /// streamed linearly exactly once per SpMM. Per vector column this is the
@@ -911,7 +899,7 @@ mod tests {
                     }
                 }
                 if bw == 1 {
-                    variants.push(("batch1-portable", emv_batch1_portable));
+                    variants.push(("batch1-portable", emv_batch1_portable as EmvBatchKernel));
                     #[cfg(target_arch = "x86_64")]
                     {
                         if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
@@ -926,7 +914,7 @@ mod tests {
 
                 for (name, kern) in variants {
                     let mut ve = vec![9.0; nd * bw]; // must be overwritten
-                    kern(&keb, &ue, &mut ve, nd, bw);
+                    kern(&keb, &ue, &mut ve, nd, bw, 1);
                     for b in 0..bw {
                         let v_ref = batch_reference(&keb, &ue, nd, bw, b);
                         for i in 0..nd {
@@ -960,9 +948,9 @@ mod tests {
                         .map(|_| rng.gen_range(-1.0..1.0))
                         .collect();
 
-                    let mut variants: Vec<(&str, EmvBatchMvKernel)> = vec![
-                        ("mv-portable", emv_batch_mv_portable as EmvBatchMvKernel),
-                        ("mv-dispatched", emv_batch_mv as EmvBatchMvKernel),
+                    let mut variants: Vec<(&str, EmvBatchKernel)> = vec![
+                        ("mv-portable", emv_batch_mv_portable as EmvBatchKernel),
+                        ("dispatched", emv_batch as EmvBatchKernel),
                     ];
                     #[cfg(target_arch = "x86_64")]
                     {
@@ -1019,7 +1007,7 @@ mod tests {
             for c in 0..nvec {
                 let uc = mv_column(&ue, nd, bw, nvec, c);
                 let mut vc = vec![0.0; nd * bw];
-                emv_batch_portable(&keb, &uc, &mut vc, nd, bw);
+                emv_batch_portable(&keb, &uc, &mut vc, nd, bw, 1);
                 for s in 0..nd * bw {
                     assert_eq!(
                         ve[s * nvec + c].to_bits(),
@@ -1044,7 +1032,7 @@ mod tests {
                 for c in 0..nvec {
                     let uc = mv_column(&ue, nd, bw, nvec, c);
                     let mut vc = vec![0.0; nd * bw];
-                    emv_batch_avx2(&keb, &uc, &mut vc, nd, bw);
+                    emv_batch_avx2(&keb, &uc, &mut vc, nd, bw, 1);
                     for s in 0..nd * bw {
                         assert_eq!(
                             ve[s * nvec + c].to_bits(),
@@ -1065,8 +1053,8 @@ mod tests {
 
     #[test]
     fn mv_kernel_name_reports_something() {
-        for nvec in [1usize, 4, 8, 17] {
-            let name = emv_batch_mv_kernel_name(nvec);
+        for nvec in [4usize, 8, 17] {
+            let name = emv_batch_kernel_name(8, nvec);
             assert!(["mv-avx512f", "mv-avx2+fma", "mv-portable"].contains(&name));
         }
     }
@@ -1074,7 +1062,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "multivector width")]
     fn mv_width_bounds_checked() {
-        select_batch_mv_kernel(MAX_NVEC_WIDTH + 1);
+        select_batch_kernel(8, MAX_NVEC_WIDTH + 1);
     }
 
     #[test]
@@ -1105,19 +1093,31 @@ mod tests {
     #[test]
     fn batch_kernel_name_reports_something() {
         for bw in [4usize, 8, 17] {
-            let name = emv_batch_kernel_name(bw);
+            let name = emv_batch_kernel_name(bw, 1);
             assert!(["batch-avx512f", "batch-avx2+fma", "batch-portable"].contains(&name));
         }
         // B=1 names the width-1 adapter onto the per-element kernel.
-        let name = emv_batch_kernel_name(1);
+        let name = emv_batch_kernel_name(1, 1);
         assert!(["batch1-avx512f", "batch1-avx2+fma", "batch1-portable"].contains(&name));
         assert_eq!(name.strip_prefix("batch1-"), Some(emv_kernel_name()));
+        // At nvec = 1 the one (bw, nvec) table keeps the single-vector
+        // choice for bw = 8 on this host.
+        let mut want8 = "batch-portable";
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx512f") {
+                want8 = "batch-avx512f";
+            } else if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                want8 = "batch-avx2+fma";
+            }
+        }
+        assert_eq!(emv_batch_kernel_name(8, 1), want8);
     }
 
     #[test]
     #[should_panic(expected = "batch width")]
     fn batch_width_bounds_checked() {
-        select_batch_kernel(MAX_BATCH_WIDTH + 1);
+        select_batch_kernel(MAX_BATCH_WIDTH + 1, 1);
     }
 
     #[test]

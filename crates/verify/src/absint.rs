@@ -39,7 +39,7 @@
 //!
 //! [`check_slab_contract`] is the bridge to the runtime: it checks that a
 //! concrete `BlockPlan`-style slab layout (`keb`/`ue`/`ve` lengths for a
-//! given `nd`, `bw`) satisfies exactly the kernel preconditions the
+//! given `nd`, `bw`, `nvec`) satisfies exactly the kernel preconditions the
 //! certificates assume, closing the loop against the metadata `alias.rs`
 //! proves collision-free.
 
@@ -410,38 +410,11 @@ pub fn certify_file(path: &Path) -> Result<(Vec<KernelCert>, Vec<AbsDiag>), Stri
 }
 
 /// The runtime bridge: check that a concrete batched slab (`keb`, `ue`,
-/// `ve` lengths for a given `nd`, `bw`) satisfies the batched kernels'
-/// proved preconditions exactly.
+/// `ve` lengths for a given `nd`, `bw`, `nvec`) satisfies the batched
+/// kernels' proved preconditions exactly. Every vector count shares the
+/// batch-interleaved `keb`; the panels are `nd·bw·nvec` (`nvec`
+/// contiguous column values per lane, `nvec = 1` the single vector).
 pub fn check_slab_contract(
-    nd: usize,
-    bw: usize,
-    keb_len: usize,
-    ue_len: usize,
-    ve_len: usize,
-) -> Result<(), String> {
-    if nd == 0 || bw == 0 {
-        return Err(format!("degenerate slab: nd={nd} bw={bw}"));
-    }
-    let want = [
-        ("keb", keb_len, "nd * nd * bw", nd * nd * bw),
-        ("ue", ue_len, "nd * bw", nd * bw),
-        ("ve", ve_len, "nd * bw", nd * bw),
-    ];
-    for (name, got, formula, expect) in want {
-        if got != expect {
-            return Err(format!(
-                "slab {name} length {got} violates the proved kernel precondition \
-                 {formula} = {expect} (nd={nd}, bw={bw})"
-            ));
-        }
-    }
-    Ok(())
-}
-
-/// The multivector analog of [`check_slab_contract`]: a width-`nvec`
-/// SpMM slab keeps the batch-interleaved `keb` but widens the `ue`/`ve`
-/// panels to `nd·bw·nvec` (`nvec` contiguous column values per lane).
-pub fn check_mv_slab_contract(
     nd: usize,
     bw: usize,
     nvec: usize,
@@ -449,14 +422,19 @@ pub fn check_mv_slab_contract(
     ue_len: usize,
     ve_len: usize,
 ) -> Result<(), String> {
-    if nvec == 0 {
-        return Err("degenerate multivector slab: nvec=0".to_string());
+    if nd == 0 || bw == 0 || nvec == 0 {
+        return Err(format!("degenerate slab: nd={nd} bw={bw} nvec={nvec}"));
     }
-    check_slab_contract(nd, bw, keb_len, ue_len / nvec, ve_len / nvec)?;
-    for (name, got) in [("ue", ue_len), ("ve", ve_len)] {
-        if got % nvec != 0 {
+    let want = [
+        ("keb", keb_len, "nd * nd * bw", nd * nd * bw),
+        ("ue", ue_len, "nd * bw * nvec", nd * bw * nvec),
+        ("ve", ve_len, "nd * bw * nvec", nd * bw * nvec),
+    ];
+    for (name, got, formula, expect) in want {
+        if got != expect {
             return Err(format!(
-                "multivector slab {name} length {got} is not a multiple of nvec={nvec}"
+                "slab {name} length {got} violates the proved kernel precondition \
+                 {formula} = {expect} (nd={nd}, bw={bw}, nvec={nvec})"
             ));
         }
     }
@@ -1074,15 +1052,18 @@ unsafe fn emv_batch_mv_avx2_impl(keb: &[f64], ue: &[f64], ve: &mut [f64], nd: us
     #[test]
     fn mv_slab_contract_checks_widened_panels() {
         // nd=8, bw=4, nvec=8: keb unchanged, panels ×nvec.
-        assert!(check_mv_slab_contract(8, 4, 8, 8 * 8 * 4, 8 * 4 * 8, 8 * 4 * 8).is_ok());
-        let err = check_mv_slab_contract(8, 4, 8, 8 * 8 * 4, 8 * 4 * 8 - 8, 8 * 4 * 8).unwrap_err();
+        assert!(check_slab_contract(8, 4, 8, 8 * 8 * 4, 8 * 4 * 8, 8 * 4 * 8).is_ok());
+        let err = check_slab_contract(8, 4, 8, 8 * 8 * 4, 8 * 4 * 8 - 8, 8 * 4 * 8).unwrap_err();
         assert!(
             err.contains("violates the proved kernel precondition"),
             "{err}"
         );
-        let err = check_mv_slab_contract(8, 4, 3, 8 * 8 * 4, 8 * 4 * 3 + 1, 8 * 4 * 3).unwrap_err();
-        assert!(err.contains("not a multiple of nvec"), "{err}");
-        assert!(check_mv_slab_contract(8, 4, 0, 8 * 8 * 4, 0, 0).is_err());
+        let err = check_slab_contract(8, 4, 3, 8 * 8 * 4, 8 * 4 * 3 + 1, 8 * 4 * 3).unwrap_err();
+        assert!(err.contains("slab ue length 97"), "{err}");
+        // A single-vector panel handed to a width-8 kernel.
+        let err = check_slab_contract(8, 4, 8, 8 * 8 * 4, 8 * 4, 8 * 4).unwrap_err();
+        assert!(err.contains("nd * bw * nvec = 256"), "{err}");
+        assert!(check_slab_contract(8, 4, 0, 8 * 8 * 4, 0, 0).is_err());
     }
 
     #[test]
@@ -1179,10 +1160,10 @@ unsafe fn downward(ke: &[f64], ue: &[f64], nd: usize) {
 
     #[test]
     fn slab_contract_matches_kernel_preconditions() {
-        assert!(check_slab_contract(8, 4, 8 * 8 * 4, 8 * 4, 8 * 4).is_ok());
-        let err = check_slab_contract(8, 4, 8 * 8 * 4 - 1, 8 * 4, 8 * 4).unwrap_err();
+        assert!(check_slab_contract(8, 4, 1, 8 * 8 * 4, 8 * 4, 8 * 4).is_ok());
+        let err = check_slab_contract(8, 4, 1, 8 * 8 * 4 - 1, 8 * 4, 8 * 4).unwrap_err();
         assert!(err.contains("keb"), "{err}");
-        assert!(check_slab_contract(0, 4, 0, 0, 0).is_err());
+        assert!(check_slab_contract(0, 4, 1, 0, 0, 0).is_err());
     }
 
     #[test]

@@ -63,8 +63,8 @@ use hymv_core::{GhostExchange, HymvMaps};
 use hymv_mesh::partition::partition_mesh;
 use hymv_mesh::{unstructured_tet_mesh, ElementType, PartitionMethod, StructuredHexMesh};
 use hymv_verify::{
-    analyze_collectives, analyze_workspace_effects, certify_file, check_mv_slab_contract,
-    check_slab_contract, derive_plan_summaries, lint_workspace, prove_plan, verify_exchange,
+    analyze_collectives, analyze_workspace_effects, certify_file, check_slab_contract,
+    derive_plan_summaries, lint_workspace, prove_plan, verify_exchange,
     verify_exchange_parameterized, CallGraph, CollectivesReport, PlanSummary, Verdict,
 };
 
@@ -231,17 +231,11 @@ fn run_effects(root: &std::path::Path) -> ExitCode {
             let set = plan.set(dependent);
             let panel = set.panel_len();
             for k in 0..set.n_blocks() {
-                slabs += 1;
-                if let Err(e) =
-                    check_slab_contract(nd, plan.batch_width(), set.keb(k).len(), panel, panel)
-                {
-                    slab_errs.push(format!("bw={bw} dependent={dependent} block={k}: {e}"));
-                }
-                // Multivector widening of the same slab: keb unchanged,
-                // panels strided to nd·bw·nvec.
-                for nvec in [4usize, 8] {
+                // Every vector count streams the same slab; the panels
+                // widen to nd·bw·nvec.
+                for nvec in [1usize, 4, 8] {
                     slabs += 1;
-                    if let Err(e) = check_mv_slab_contract(
+                    if let Err(e) = check_slab_contract(
                         nd,
                         plan.batch_width(),
                         nvec,

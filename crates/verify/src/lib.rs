@@ -71,9 +71,7 @@ pub mod lint;
 pub mod model;
 pub mod param;
 
-pub use absint::{
-    certify_file, certify_source, check_mv_slab_contract, check_slab_contract, AbsDiag, KernelCert,
-};
+pub use absint::{certify_file, certify_source, check_slab_contract, AbsDiag, KernelCert};
 pub use alias::{check_block_coloring, check_chunk_cover, check_gidx_bounds, prove_plan};
 pub use callgraph::{CallGraph, CallSite, FnNode, Marker, Resolution};
 pub use collectives::{

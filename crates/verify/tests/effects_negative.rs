@@ -254,11 +254,11 @@ fn emv_bad(ke: &[f64], ue: &[f64], ve: &mut [f64]) {
 #[test]
 fn slab_contract_mismatch_names_the_bad_slab() {
     // nd=8, bw=4: a keb slab one double short of nd·nd·bw.
-    let err = check_slab_contract(8, 4, 8 * 8 * 4 - 1, 8 * 4, 8 * 4)
+    let err = check_slab_contract(8, 4, 1, 8 * 8 * 4 - 1, 8 * 4, 8 * 4)
         .expect_err("short slab must be rejected");
     assert_eq!(
         err,
         "slab keb length 255 violates the proved kernel precondition \
-         nd * nd * bw = 256 (nd=8, bw=4)"
+         nd * nd * bw = 256 (nd=8, bw=4, nvec=1)"
     );
 }
