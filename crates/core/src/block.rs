@@ -503,6 +503,12 @@ impl BlockPlan {
     /// once: each block's `Ke` slab is loaded once and reused for every
     /// column of the panel. `kernel` must be the `(bw, u.nvec)` entry of
     /// the dispatch table; `ue`/`ve` are `nd × bw × nvec` panel scratch.
+    ///
+    /// Every driver compiles its body a second time with the literal
+    /// vector count 1 (`SINGLE`), so gather and scatter reduce to the
+    /// plain single-vector loops: with a runtime `nvec` the serial
+    /// single-vector loop measured ~20% slower (jittered Hex8 Poisson,
+    /// 2-core AVX-512F Xeon).
     pub fn run_serial(
         &self,
         dependent: bool,
@@ -519,10 +525,6 @@ impl BlockPlan {
         }
     }
 
-    /// The body of [`Self::run_serial`]. `SINGLE` compiles it with the
-    /// literal vector count 1, so gather and scatter reduce to the plain
-    /// single-vector loops: with a runtime `nvec` the single-vector loop
-    /// measured ~20% slower (jittered Hex8 Poisson, 2-core AVX-512F Xeon).
     fn serial<const SINGLE: bool>(
         &self,
         dependent: bool,
@@ -544,12 +546,6 @@ impl BlockPlan {
     /// Colored parallel blocked loop: classes sequential, blocks within a
     /// class parallel with direct shared writes (sound because same-color
     /// blocks share no dof, and scatters are lane-bounded).
-    ///
-    /// Allocation waiver: rayon's `for_each_init` allocates one pair of
-    /// `nd × bw × nvec` panels per worker — bounded per-thread scratch
-    /// that cannot be hoisted across the pool boundary, not per-element
-    /// churn.
-    // verify: allow(allocates)
     pub fn run_colored(
         &self,
         dependent: bool,
@@ -558,8 +554,28 @@ impl BlockPlan {
         v: &mut DistArray,
         kernel: EmvBatchKernel,
     ) {
-        let (set, nvec) = (self.set(dependent), u.nvec);
-        debug_assert_eq!(v.nvec, nvec);
+        if u.nvec == 1 {
+            self.colored::<true>(dependent, classes, u, v, kernel);
+        } else {
+            self.colored::<false>(dependent, classes, u, v, kernel);
+        }
+    }
+
+    /// Allocation waiver: rayon's `for_each_init` allocates one pair of
+    /// `nd × bw × nvec` panels per worker — bounded per-thread scratch
+    /// that cannot be hoisted across the pool boundary, not per-element
+    /// churn.
+    // verify: allow(allocates)
+    fn colored<const SINGLE: bool>(
+        &self,
+        dependent: bool,
+        classes: &[Vec<u32>],
+        u: &DistArray,
+        v: &mut DistArray,
+        kernel: EmvBatchKernel,
+    ) {
+        let (set, nvec) = (self.set(dependent), if SINGLE { 1 } else { u.nvec });
+        debug_assert_eq!((u.nvec, v.nvec), (nvec, nvec));
         let (nd, bw) = (self.nd, self.bw);
         let pl = nd * bw * nvec;
         let target = RacyTarget::new(v.data.as_mut_ptr());
@@ -588,11 +604,6 @@ impl BlockPlan {
 
     /// Chunk-private parallel blocked loop: workers own contiguous runs of
     /// blocks and private accumulation buffers, reduced by summation.
-    ///
-    /// Allocation waiver: the private accumulation buffers are the point
-    /// of this scheme — one `len`-sized buffer per worker chunk, allocated
-    /// inside the pool, reduced on join. Bounded per-call, not hoistable.
-    // verify: allow(allocates)
     pub fn run_chunk_private(
         &self,
         dependent: bool,
@@ -600,8 +611,26 @@ impl BlockPlan {
         v: &mut DistArray,
         kernel: EmvBatchKernel,
     ) {
-        let (set, nvec) = (self.set(dependent), u.nvec);
-        debug_assert_eq!(v.nvec, nvec);
+        if u.nvec == 1 {
+            self.chunk_private::<true>(dependent, u, v, kernel);
+        } else {
+            self.chunk_private::<false>(dependent, u, v, kernel);
+        }
+    }
+
+    /// Allocation waiver: the private accumulation buffers are the point
+    /// of this scheme — one `len`-sized buffer per worker chunk, allocated
+    /// inside the pool, reduced on join. Bounded per-call, not hoistable.
+    // verify: allow(allocates)
+    fn chunk_private<const SINGLE: bool>(
+        &self,
+        dependent: bool,
+        u: &DistArray,
+        v: &mut DistArray,
+        kernel: EmvBatchKernel,
+    ) {
+        let (set, nvec) = (self.set(dependent), if SINGLE { 1 } else { u.nvec });
+        debug_assert_eq!((u.nvec, v.nvec), (nvec, nvec));
         let (nd, bw) = (self.nd, self.bw);
         let (len, pl) = (v.data.len(), nd * bw * nvec);
         let partials: Vec<Vec<f64>> = on_rank_pool(|| {

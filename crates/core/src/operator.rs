@@ -53,14 +53,14 @@ pub struct HymvOperator {
     /// `nd²` scratch an updated element matrix is computed into before it
     /// is interleaved into its lane.
     ke: Vec<f64>,
-    /// The apply workspace for the current vector count, rebuilt when an
-    /// apply asks for a different `nvec` (or the batch width changes).
-    ws: MvWorkspace,
-    /// The single-vector workspace, set aside while a wider one is in
-    /// use, so single-vector applies keep the buffers laid out at setup:
-    /// on buffers reallocated after an SpMM they measured up to ~25% more CPU
-    /// (serving workload, jittered Hex8 Poisson, 2-core Xeon).
-    ws1: Option<MvWorkspace>,
+    /// The single-vector apply workspace, built at setup and kept for the
+    /// operator's life: single-vector applies on buffers reallocated
+    /// after an SpMM measured up to ~25% more CPU (serving workload,
+    /// jittered Hex8 Poisson, 2-core Xeon).
+    ws1: MvWorkspace,
+    /// The workspace of the last `nvec > 1` apply, rebuilt when an apply
+    /// asks for a different `nvec`.
+    wide: Option<MvWorkspace>,
 }
 
 /// Cached state of an apply for one vector count (`nvec = 1` is the
@@ -138,7 +138,7 @@ impl HymvOperator {
             });
         });
 
-        let ws = MvWorkspace::new(&maps, &plan, ndof, 1);
+        let ws1 = MvWorkspace::new(&maps, &plan, ndof, 1);
         let op = HymvOperator {
             maps,
             exchange,
@@ -147,8 +147,8 @@ impl HymvOperator {
             colors: None,
             plan,
             ke,
-            ws,
-            ws1: None,
+            ws1,
+            wide: None,
         };
         setup_span.close(comm.vt());
         (op, t)
@@ -184,8 +184,8 @@ impl HymvOperator {
         plan.attach_with(|e, mut lane| lane.copy_from(old.ke(e)));
         self.plan = plan;
         // Kernel and panel scratch were chosen for the old width.
-        self.ws = MvWorkspace::new(&self.maps, &self.plan, self.ndof, self.ws.nvec);
-        self.ws1 = None;
+        self.ws1 = MvWorkspace::new(&self.maps, &self.plan, self.ndof, 1);
+        self.wide = None;
         // Colors were built at the old granularity; rebuild (or fall
         // back) for the new one.
         self.colors = None;
@@ -296,19 +296,22 @@ impl HymvOperator {
 
     /// One elemental EMV loop over a subset, for the workspace's vector
     /// count, honoring the parallel mode.
-    fn run_subset(&mut self, comm: &mut Comm, dependent: bool) {
-        let (plan, ws) = (&self.plan, &mut self.ws);
+    fn run_subset(
+        comm: &mut Comm,
+        plan: &BlockPlan,
+        mode: ParallelMode,
+        colors: Option<&(Vec<Vec<u32>>, Vec<Vec<u32>>)>,
+        ws: &mut MvWorkspace,
+        dependent: bool,
+    ) {
         let (u, v, kernel) = (&ws.u, &mut ws.v, ws.kernel);
-        match self.mode {
+        match mode {
             ParallelMode::Serial => {
                 let (ue, ve) = (&mut ws.ue, &mut ws.ve);
                 comm.work(|| plan.run_serial(dependent, u, v, kernel, ue, ve));
             }
             ParallelMode::Colored { threads } => {
-                let (indep, dep) = self
-                    .colors
-                    .as_ref()
-                    .expect("set_parallel_mode built colors");
+                let (indep, dep) = colors.expect("set_parallel_mode built colors");
                 let classes = if dependent { dep } else { indep };
                 comm.work_smp(threads, || {
                     plan.run_colored(dependent, classes, u, v, kernel)
@@ -356,42 +359,56 @@ impl HymvOperator {
             return;
         }
         let overlap = overlap && !comm.degraded();
-        if self.ws.nvec != nvec {
-            let spare = if nvec == 1 { self.ws1.take() } else { None };
-            let next =
-                spare.unwrap_or_else(|| MvWorkspace::new(&self.maps, &self.plan, self.ndof, nvec));
-            let prev = std::mem::replace(&mut self.ws, next);
-            if prev.nvec == 1 {
-                self.ws1 = Some(prev);
-            }
-        }
         let flops = self.flops_per_apply() * nvec as u64;
+        let ws = if nvec == 1 {
+            &mut self.ws1
+        } else {
+            match &mut self.wide {
+                Some(ws) if ws.nvec == nvec => ws,
+                wide => wide.insert(MvWorkspace::new(&self.maps, &self.plan, self.ndof, nvec)),
+            }
+        };
+        let (plan, mode, colors) = (&self.plan, self.mode, self.colors.as_ref());
 
-        // v ← 0; u ← x with fresh ghosts.
-        self.ws.v.fill_zero();
-        let u = &mut self.ws.u;
-        comm.work(|| u.set_owned(x));
+        // v ← 0; u ← x with fresh ghosts. The copies in and out are
+        // charged to virtual time only for a multivector (a transpose);
+        // the single-vector model leaves the two plain copies out.
+        ws.v.fill_zero();
+        if nvec == 1 {
+            ws.u.set_owned(x);
+        } else {
+            comm.work(|| ws.u.set_owned(x));
+        }
 
         // local_node_scatter_begin(u): independent elements overlap it.
-        self.exchange.scatter_begin(comm, &self.ws.u);
+        self.exchange.scatter_begin(comm, &ws.u);
         if overlap {
-            comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
+            comm.traced(Phase::IndepEmv, |comm| {
+                Self::run_subset(comm, plan, mode, colors, ws, false)
+            });
         }
 
         // local_node_scatter_end(u); then dependent elements.
-        self.exchange.scatter_end(comm, &mut self.ws.u);
+        self.exchange.scatter_end(comm, &mut ws.u);
         if !overlap {
-            comm.traced(Phase::IndepEmv, |comm| self.run_subset(comm, false));
+            comm.traced(Phase::IndepEmv, |comm| {
+                Self::run_subset(comm, plan, mode, colors, ws, false)
+            });
         }
-        comm.traced(Phase::DepEmv, |comm| self.run_subset(comm, true));
+        comm.traced(Phase::DepEmv, |comm| {
+            Self::run_subset(comm, plan, mode, colors, ws, true)
+        });
 
         // ghost_node_gather: accumulate ghost contributions to owners.
-        self.exchange.gather_begin(comm, &self.ws.v);
-        self.exchange.gather_end(comm, &mut self.ws.v);
+        self.exchange.gather_begin(comm, &ws.v);
+        self.exchange.gather_end(comm, &mut ws.v);
 
         hymv_trace::counter_add("hymv_emv_flops_total", &[], flops);
-        let v = &self.ws.v;
-        comm.work(|| v.copy_owned_to(y));
+        if nvec == 1 {
+            ws.v.copy_owned_to(y);
+        } else {
+            comm.work(|| ws.v.copy_owned_to(y));
+        }
         comm.note_exchange_outcome();
     }
 
@@ -447,15 +464,15 @@ impl LinOp for HymvOperator {
     /// so every rank rebuilds — survivors get a bit-identical plan, the
     /// resurrected ranks get theirs back from the unchanged maps. The
     /// block plan's slabs *are* the element matrices, so a resurrected
-    /// rank keeps them and rebuilds only its derived state (apply
-    /// workspace, colors).
+    /// rank keeps them and rebuilds only its derived state (multivector
+    /// workspace, colors); the single-vector workspace is overwritten by
+    /// every apply and stays.
     fn repair(&mut self, comm: &mut Comm, dead: &[usize]) {
         let raw = self.exchange.raw_transport();
         self.exchange = GhostExchange::build(comm, &self.maps);
         self.exchange.set_raw_transport(raw);
         if dead.contains(&comm.rank()) {
-            self.ws = MvWorkspace::new(&self.maps, &self.plan, self.ndof, self.ws.nvec);
-            self.ws1 = None;
+            self.wide = None;
             self.colors = None;
             self.set_parallel_mode(self.mode);
         }
